@@ -12,14 +12,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use halotis::core::TimeDelta;
 use halotis::netlist::{generators, technology};
-use halotis::sim::{SimulationConfig, Simulator};
+use halotis::sim::{CompiledCircuit, SimulationConfig};
 use halotis_bench::pulse_stimulus;
 use std::hint::black_box;
 
 fn bench_pulse_widths(c: &mut Criterion) {
     let netlist = generators::inverter_chain(6);
     let library = technology::cmos06();
-    let simulator = Simulator::new(&netlist, &library);
     let mut group = c.benchmark_group("ablation_degradation");
     for width_ps in [150.0f64, 400.0, 800.0, 1600.0] {
         let stimulus = pulse_stimulus(&library, TimeDelta::from_ps(width_ps));
@@ -31,7 +30,11 @@ fn bench_pulse_widths(c: &mut Criterion) {
                 BenchmarkId::new(label, format!("{width_ps}ps")),
                 &stimulus,
                 |b, stimulus| {
-                    b.iter(|| black_box(simulator.run(stimulus, &config).unwrap()));
+                    b.iter(|| {
+                        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+                        let mut state = circuit.new_state();
+                        black_box(circuit.run_with(&mut state, stimulus, &config).unwrap())
+                    });
                 },
             );
         }

@@ -10,14 +10,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use halotis::core::TimeDelta;
 use halotis::netlist::{generators, technology};
-use halotis::sim::{classical, SimulationConfig, Simulator};
+use halotis::sim::{classical, CompiledCircuit, SimulationConfig};
 use halotis_bench::pulse_stimulus;
 use std::hint::black_box;
 
 fn bench_inertial_handling(c: &mut Criterion) {
     let (netlist, _nets) = generators::figure1_default();
     let library = technology::cmos06();
-    let simulator = Simulator::new(&netlist, &library);
     let mut group = c.benchmark_group("ablation_inertial");
     for width_ps in [200.0f64, 400.0, 1000.0] {
         let stimulus = pulse_stimulus(&library, TimeDelta::from_ps(width_ps));
@@ -25,7 +24,12 @@ fn bench_inertial_handling(c: &mut Criterion) {
             BenchmarkId::new("halotis_per_input", format!("{width_ps}ps")),
             &stimulus,
             |b, stimulus| {
-                b.iter(|| black_box(simulator.run(stimulus, &SimulationConfig::ddm()).unwrap()));
+                let config = SimulationConfig::ddm();
+                b.iter(|| {
+                    let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+                    let mut state = circuit.new_state();
+                    black_box(circuit.run_with(&mut state, stimulus, &config).unwrap())
+                });
             },
         );
         group.bench_with_input(

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halotis::experiments::multiplier_fixture_sized;
-use halotis::sim::{BatchRunner, CompiledCircuit};
+use halotis::sim::{BatchRunner, CompiledCircuit, WaveformRecorder};
 use halotis_bench::multiplier_batch_scenarios;
 use std::hint::black_box;
 
@@ -27,7 +27,8 @@ fn bench_batch_scaling(c: &mut Criterion) {
             &scenarios,
             |b, scenarios| {
                 b.iter(|| {
-                    let report = runner.run(&circuit, scenarios);
+                    let report =
+                        runner.run_observed(&circuit, scenarios, |_, _| WaveformRecorder::new());
                     assert_eq!(report.failed(), 0);
                     black_box(report)
                 });

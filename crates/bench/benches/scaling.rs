@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halotis::experiments::multiplier_fixture_sized;
 use halotis::netlist::{generators, technology};
-use halotis::sim::{SimulationConfig, Simulator};
+use halotis::sim::{CompiledCircuit, SimulationConfig};
 use halotis_bench::{random_multiplier_stimulus, toggle_all_inputs};
 use std::hint::black_box;
 
@@ -20,7 +20,6 @@ fn bench_multiplier_scaling(c: &mut Criterion) {
     for size in [2usize, 4, 6, 8] {
         let fixture = multiplier_fixture_sized(size, size);
         let stimulus = random_multiplier_stimulus(&fixture, 5, 0xDA7E);
-        let simulator = Simulator::new(&fixture.netlist, &fixture.library);
         group.throughput(Throughput::Elements(fixture.netlist.gate_count() as u64));
         for (label, config) in [
             ("ddm", SimulationConfig::ddm()),
@@ -30,7 +29,12 @@ fn bench_multiplier_scaling(c: &mut Criterion) {
                 BenchmarkId::new(label, format!("{size}x{size}")),
                 &stimulus,
                 |b, stimulus| {
-                    b.iter(|| black_box(simulator.run(stimulus, &config).unwrap()));
+                    b.iter(|| {
+                        let circuit =
+                            CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+                        let mut state = circuit.new_state();
+                        black_box(circuit.run_with(&mut state, stimulus, &config).unwrap())
+                    });
                 },
             );
         }
@@ -45,10 +49,14 @@ fn bench_random_logic(c: &mut Criterion) {
     for gates in [500usize, 2000, 8000] {
         let netlist = generators::random_logic(32, gates, 99);
         let stimulus = toggle_all_inputs(&netlist, halotis::core::Time::from_ns(1.0));
-        let simulator = Simulator::new(&netlist, &library);
+        let config = SimulationConfig::ddm();
         group.throughput(Throughput::Elements(gates as u64));
         group.bench_with_input(BenchmarkId::new("ddm", gates), &stimulus, |b, stimulus| {
-            b.iter(|| black_box(simulator.run(stimulus, &SimulationConfig::ddm()).unwrap()));
+            b.iter(|| {
+                let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+                let mut state = circuit.new_state();
+                black_box(circuit.run_with(&mut state, stimulus, &config).unwrap())
+            });
         });
     }
     group.finish();

@@ -18,12 +18,11 @@ use halotis::core::{Time, TimeDelta};
 use halotis::experiments::{
     multiplier_fixture, multiplier_stimulus, sequence_label, SEQUENCE_FIG6, SEQUENCE_FIG7,
 };
-use halotis::sim::{classical, SimulationConfig, Simulator};
+use halotis::sim::{classical, CompiledCircuit, SimulationConfig};
 use std::hint::black_box;
 
 fn bench_table2(c: &mut Criterion) {
     let fixture = multiplier_fixture();
-    let simulator = Simulator::new(&fixture.netlist, &fixture.library);
     let mut group = c.benchmark_group("table2_cpu_time");
     group.sample_size(10);
 
@@ -35,8 +34,12 @@ fn bench_table2(c: &mut Criterion) {
             BenchmarkId::new("halotis_ddm", &label),
             &stimulus,
             |b, stimulus| {
+                let config = SimulationConfig::ddm();
                 b.iter(|| {
-                    black_box(simulator.run(stimulus, &SimulationConfig::ddm()).unwrap());
+                    let circuit =
+                        CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+                    let mut state = circuit.new_state();
+                    black_box(circuit.run_with(&mut state, stimulus, &config).unwrap());
                 })
             },
         );
@@ -44,8 +47,12 @@ fn bench_table2(c: &mut Criterion) {
             BenchmarkId::new("halotis_cdm", &label),
             &stimulus,
             |b, stimulus| {
+                let config = SimulationConfig::cdm();
                 b.iter(|| {
-                    black_box(simulator.run(stimulus, &SimulationConfig::cdm()).unwrap());
+                    let circuit =
+                        CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+                    let mut state = circuit.new_state();
+                    black_box(circuit.run_with(&mut state, stimulus, &config).unwrap());
                 })
             },
         );

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod entry;
+pub mod json;
 pub mod observer;
 pub mod runner;
 pub mod stats;

@@ -167,9 +167,11 @@ mod tests {
         stimulus.drive("in0", Time::from_ns(1.0), LogicLevel::High);
         stimulus.drive("in3", Time::from_ns(1.3), LogicLevel::High);
 
-        let result = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
-        let mut profile = GlitchProfile::new();
         let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+            .unwrap();
+        let mut profile = GlitchProfile::new();
         circuit
             .run_observed(
                 &mut state,

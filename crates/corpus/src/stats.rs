@@ -9,12 +9,14 @@
 //!
 //! Serialisation is hand-rolled: the build environment has no serde, and a
 //! golden file needs full control over field order and number formatting
-//! anyway.  Floats are rendered with Rust's shortest-roundtrip `{:e}`
-//! formatting, which is platform-independent.
+//! anyway.  Strings and floats render through [`crate::json`], the same
+//! renderer the wire protocol uses.
 
 use std::fmt::Write as _;
 
 use halotis_sim::SimulationStats;
+
+use crate::json;
 
 /// Schema identifier embedded in every document.
 pub const SCHEMA: &str = "halotis-corpus-v1";
@@ -120,7 +122,7 @@ impl CorpusStats {
         let totals = self.totals();
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_string(SCHEMA));
+        let _ = writeln!(out, "  \"schema\": {},", json::string(SCHEMA));
         let _ = writeln!(out, "  \"scenario_count\": {},", self.scenario_count());
         out.push_str("  \"totals\": {\n");
         write_stats(&mut out, "    ", &totals);
@@ -128,18 +130,18 @@ impl CorpusStats {
         let _ = writeln!(
             out,
             "    \"energy_joules\": {}",
-            json_f64(self.total_energy_joules())
+            json::number(self.total_energy_joules())
         );
         out.push_str("  },\n");
         out.push_str("  \"entries\": [");
         for (index, entry) in self.entries.iter().enumerate() {
             out.push_str(if index == 0 { "\n" } else { ",\n" });
             out.push_str("    {\n");
-            let _ = writeln!(out, "      \"name\": {},", json_string(&entry.name));
-            let _ = writeln!(out, "      \"circuit\": {},", json_string(&entry.circuit));
+            let _ = writeln!(out, "      \"name\": {},", json::string(&entry.name));
+            let _ = writeln!(out, "      \"circuit\": {},", json::string(&entry.circuit));
             let _ = writeln!(out, "      \"gates\": {},", entry.gates);
             let _ = writeln!(out, "      \"nets\": {},", entry.nets);
-            let _ = writeln!(out, "      \"suite\": {},", json_string(&entry.suite));
+            let _ = writeln!(out, "      \"suite\": {},", json::string(&entry.suite));
             let _ = writeln!(
                 out,
                 "      \"wall_time_ns\": {},",
@@ -152,19 +154,19 @@ impl CorpusStats {
                 let _ = writeln!(
                     out,
                     "          \"label\": {},",
-                    json_string(&scenario.label)
+                    json::string(&scenario.label)
                 );
                 let _ = writeln!(
                     out,
                     "          \"model\": {},",
-                    json_string(&scenario.model)
+                    json::string(&scenario.model)
                 );
                 write_stats(&mut out, "          ", &scenario.stats);
                 let _ = writeln!(
                     out,
                     "          \"events_per_cycle\": {},",
                     match scenario.events_per_cycle {
-                        Some(events) => json_f64(events),
+                        Some(events) => json::number(events),
                         None => "null".to_string(),
                     }
                 );
@@ -176,7 +178,7 @@ impl CorpusStats {
                 let _ = writeln!(
                     out,
                     "          \"energy_joules\": {},",
-                    json_f64(scenario.energy_joules)
+                    json::number(scenario.energy_joules)
                 );
                 let _ = writeln!(
                     out,
@@ -231,32 +233,6 @@ fn write_stats(out: &mut String, indent: &str, stats: &SimulationStats) {
         "{indent}\"queue_high_water\": {},",
         stats.queue_high_water
     );
-}
-
-/// JSON string literal with the escapes the corpus's simple labels can need.
-fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Shortest-roundtrip exponent rendering — deterministic across platforms.
-fn json_f64(value: f64) -> String {
-    format!("{value:e}")
 }
 
 fn json_u128(value: Option<u128>) -> String {
@@ -355,13 +331,13 @@ mod tests {
 
     #[test]
     fn string_escaping_covers_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json::string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json::string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]
     fn float_rendering_is_exponent_form() {
-        assert_eq!(json_f64(0.0), "0e0");
-        assert_eq!(json_f64(1.25e-13), "1.25e-13");
+        assert_eq!(json::number(0.0), "0e0");
+        assert_eq!(json::number(1.25e-13), "1.25e-13");
     }
 }

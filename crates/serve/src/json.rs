@@ -2,17 +2,17 @@
 //!
 //! The build environment is registry-free, so the daemon carries its own
 //! JSON handling: a recursive-descent parser into a small [`Value`] tree for
-//! *reading* requests, and string-building helpers for *writing* responses.
-//! Floats render with Rust's shortest-round-trip `{:e}` formatting — the
-//! same rendering the corpus golden uses — so an `f64` crosses the wire
-//! bit-exactly.
+//! *reading* requests, and the value renderers [`string`] and [`number`]
+//! for *writing* responses.  Those are re-exported from
+//! [`halotis_corpus::json`], the renderer the corpus golden uses, so an
+//! `f64` crosses the wire exactly as the golden records it.
 //!
 //! Deliberate limits (documented in `PROTOCOL.md`): numbers are `f64`, so
 //! integers are exact only up to 2^53; object keys keep their first
 //! occurrence (duplicates are rejected); no `\u` surrogate-pair pedantry
 //! beyond what [`char::from_u32`] accepts.
 
-use std::fmt::Write as _;
+pub use halotis_corpus::json::{number, string};
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -341,38 +341,6 @@ impl Parser<'_> {
         }
         Ok(Value::Number(value))
     }
-}
-
-/// Appends a JSON string literal (quotes and escapes included) to `out`.
-pub fn push_string(out: &mut String, text: &str) {
-    out.push('"');
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Renders a string as a standalone JSON literal.
-pub fn string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    push_string(&mut out, text);
-    out
-}
-
-/// Renders an `f64` in shortest-round-trip scientific notation — the same
-/// rendering the corpus golden uses, so values survive the wire bit-exactly.
-pub fn number(value: f64) -> String {
-    format!("{value:e}")
 }
 
 #[cfg(test)]

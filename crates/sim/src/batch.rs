@@ -24,7 +24,6 @@ use crate::compiled::CompiledCircuit;
 use crate::config::SimulationConfig;
 use crate::error::SimulationError;
 use crate::observer::SimObserver;
-use crate::result::SimulationResult;
 use crate::state::SimState;
 use crate::stats::SimulationStats;
 
@@ -74,16 +73,6 @@ impl Scenario {
     }
 }
 
-/// The outcome of one scenario within a batch.
-#[derive(Clone, Debug)]
-pub struct ScenarioOutcome {
-    /// The scenario label, copied from the input.
-    pub label: String,
-    /// The simulation result, or the error that aborted this scenario.
-    /// One failing scenario does not abort the rest of the batch.
-    pub result: Result<SimulationResult, SimulationError>,
-}
-
 /// The outcome of one scenario of an observed batch run
 /// ([`BatchRunner::run_observed`]): the populated per-scenario observer plus
 /// the run statistics (or the error that aborted the scenario).
@@ -100,9 +89,7 @@ pub struct ObservedOutcome<O> {
 }
 
 /// Everything a batch run produces: per-scenario outcomes in submission
-/// order plus aggregate statistics, generic over the outcome type
-/// ([`ScenarioOutcome`] for [`BatchRunner::run`], [`ObservedOutcome`] for
-/// [`BatchRunner::run_observed`]).
+/// order plus aggregate statistics.
 #[derive(Clone, Debug)]
 pub struct BatchSummary<T> {
     outcomes: Vec<T>,
@@ -111,9 +98,6 @@ pub struct BatchSummary<T> {
     wall_time: Duration,
     threads: usize,
 }
-
-/// The report of a full-result batch run ([`BatchRunner::run`]).
-pub type BatchReport = BatchSummary<ScenarioOutcome>;
 
 /// The report of an observed batch run ([`BatchRunner::run_observed`]).
 pub type ObservedReport<O> = BatchSummary<ObservedOutcome<O>>;
@@ -165,15 +149,6 @@ impl<T> BatchSummary<T> {
     }
 }
 
-impl BatchSummary<ScenarioOutcome> {
-    /// The successful results, in submission order.
-    pub fn results(&self) -> impl Iterator<Item = &SimulationResult> {
-        self.outcomes
-            .iter()
-            .filter_map(|outcome| outcome.result.as_ref().ok())
-    }
-}
-
 impl<O> BatchSummary<ObservedOutcome<O>> {
     /// The observers of the successful scenarios, in submission order.
     pub fn observers(&self) -> impl Iterator<Item = &O> {
@@ -191,7 +166,7 @@ impl<O> BatchSummary<ObservedOutcome<O>> {
 /// ```
 /// use halotis_core::{LogicLevel, Time};
 /// use halotis_netlist::{generators, technology};
-/// use halotis_sim::{BatchRunner, CompiledCircuit, Scenario, SimulationConfig};
+/// use halotis_sim::{BatchRunner, CompiledCircuit, Scenario, SimulationConfig, WaveformRecorder};
 /// use halotis_waveform::Stimulus;
 ///
 /// let netlist = generators::inverter_chain(4);
@@ -207,10 +182,12 @@ impl<O> BatchSummary<ObservedOutcome<O>> {
 ///     })
 ///     .collect();
 ///
-/// let report = BatchRunner::new().run(&circuit, &scenarios);
+/// let report = BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
 /// assert_eq!(report.len(), 8);
 /// assert_eq!(report.failed(), 0);
 /// assert!(report.totals().events_processed > 0);
+/// let out = netlist.net_id("out").unwrap();
+/// assert!(report.observers().all(|recorder| recorder.waveform(out).is_some()));
 /// # Ok::<(), halotis_sim::SimulationError>(())
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -243,10 +220,17 @@ impl BatchRunner {
     /// Runs every scenario through a per-scenario [`SimObserver`], collecting
     /// the observers (and run statistics) in submission order.
     ///
-    /// This is the no-waveform batch path: nothing is recorded beyond what
-    /// each observer keeps.  `make_observer` is called once per scenario
-    /// (with its index and the scenario) on the worker thread about to run
-    /// it; the populated observer is handed back in the report.
+    /// Nothing is recorded beyond what each observer keeps: a
+    /// [`WaveformRecorder`](crate::WaveformRecorder) retains full waveforms,
+    /// an [`ActivityCounter`](crate::ActivityCounter) only counts.
+    /// `make_observer` is called once per scenario (with its index and the
+    /// scenario) on the worker thread about to run it; the populated
+    /// observer is handed back in the report.
+    ///
+    /// Workers pull scenarios from a shared cursor, so an expensive scenario
+    /// does not serialise the rest of the sweep behind it.  Each worker
+    /// reuses one [`SimState`] arena across all scenarios it executes.
+    /// Failures are recorded per scenario and never abort the batch.
     ///
     /// # Example: glitch statistics for thousands of stimuli, no waveforms
     ///
@@ -287,128 +271,66 @@ impl BatchRunner {
         O: SimObserver + Send,
         F: Fn(usize, &Scenario) -> O + Sync,
     {
-        self.execute(
-            scenarios,
-            |state, index, scenario| {
-                let mut observer = make_observer(index, scenario);
-                let stats = circuit.run_observed(
-                    state,
-                    &scenario.stimulus,
-                    &scenario.config,
-                    &mut observer,
-                );
-                ObservedOutcome {
-                    label: scenario.label.clone(),
-                    stats,
-                    observer,
-                }
-            },
-            |outcome| outcome.stats.as_ref().ok(),
-            || circuit.new_state(),
-        )
-    }
-
-    /// Runs every scenario and collects outcomes in submission order.
-    ///
-    /// Workers pull scenarios from a shared cursor, so an expensive scenario
-    /// does not serialise the rest of the sweep behind it.  Each worker
-    /// reuses one [`SimState`] arena across all scenarios
-    /// it executes.  Failures are recorded per scenario and never abort the
-    /// batch.
-    pub fn run(&self, circuit: &CompiledCircuit<'_>, scenarios: &[Scenario]) -> BatchReport {
-        self.execute(
-            scenarios,
-            |state, _, scenario| ScenarioOutcome {
-                label: scenario.label.clone(),
-                result: circuit.run_with(state, &scenario.stimulus, &scenario.config),
-            },
-            |outcome| outcome.result.as_ref().ok().map(SimulationResult::stats),
-            || circuit.new_state(),
-        )
-    }
-
-    /// The work-stealing driver shared by [`run`](BatchRunner::run) and
-    /// [`run_observed`](BatchRunner::run_observed): workers pull scenario
-    /// indices from an atomic cursor, each reusing one arena (from
-    /// `new_state`) across every scenario it executes, and `job` outcomes
-    /// land in submission order; `stats_of` extracts the per-scenario
-    /// statistics (or `None` for a failed scenario) for the aggregates.
-    fn execute<T, F, S, N>(
-        &self,
-        scenarios: &[Scenario],
-        job: F,
-        stats_of: S,
-        new_state: N,
-    ) -> BatchSummary<T>
-    where
-        T: Send,
-        F: Fn(&mut SimState, usize, &Scenario) -> T + Sync,
-        S: Fn(&T) -> Option<&SimulationStats>,
-        N: Fn() -> SimState + Sync,
-    {
         let started = Instant::now();
         let threads = self.threads.get().min(scenarios.len()).max(1);
+        let job = |state: &mut SimState, index: usize, scenario: &Scenario| {
+            let mut observer = make_observer(index, scenario);
+            let stats =
+                circuit.run_observed(state, &scenario.stimulus, &scenario.config, &mut observer);
+            ObservedOutcome {
+                label: scenario.label.clone(),
+                stats,
+                observer,
+            }
+        };
 
-        // Single-worker batches run inline: no thread spawn, no mutex —
-        // spawning a scoped thread and locking per scenario costs more than
-        // an entire small-circuit scenario, and single-thread is the
-        // reference configuration for deterministic timing measurements.
-        if threads == 1 {
-            let mut state = new_state();
-            let outcomes: Vec<T> = scenarios
+        let outcomes: Vec<ObservedOutcome<O>> = if threads == 1 {
+            // Single-worker batches run inline: no thread spawn, no mutex —
+            // spawning a scoped thread and locking per scenario costs more
+            // than an entire small-circuit scenario, and single-thread is the
+            // reference configuration for deterministic timing measurements.
+            let mut state = circuit.new_state();
+            scenarios
                 .iter()
                 .enumerate()
                 .map(|(index, scenario)| job(&mut state, index, scenario))
-                .collect();
-            return Self::summarise(outcomes, stats_of, started, threads);
-        }
+                .collect()
+        } else {
+            let cursor = AtomicUsize::new(0);
+            let slots: Mutex<Vec<Option<ObservedOutcome<O>>>> =
+                Mutex::new((0..scenarios.len()).map(|_| None).collect());
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        let mut state = circuit.new_state();
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(scenario) = scenarios.get(index) else {
+                                break;
+                            };
+                            let outcome = job(&mut state, index, scenario);
+                            slots.lock().expect("no worker panicked holding the lock")[index] =
+                                Some(outcome);
+                        }
+                    });
+                }
+            });
+            slots
+                .into_inner()
+                .expect("all workers joined")
+                .into_iter()
+                .map(|slot| slot.expect("every index below the cursor was filled"))
+                .collect()
+        };
 
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..scenarios.len()).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut state = new_state();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(scenario) = scenarios.get(index) else {
-                            break;
-                        };
-                        let outcome = job(&mut state, index, scenario);
-                        slots.lock().expect("no worker panicked holding the lock")[index] =
-                            Some(outcome);
-                    }
-                });
-            }
-        });
-
-        let outcomes: Vec<T> = slots
-            .into_inner()
-            .expect("all workers joined")
-            .into_iter()
-            .map(|slot| slot.expect("every index below the cursor was filled"))
-            .collect();
-        Self::summarise(outcomes, stats_of, started, threads)
-    }
-
-    /// Folds per-scenario outcomes into the aggregate report.
-    fn summarise<T, S>(
-        outcomes: Vec<T>,
-        stats_of: S,
-        started: Instant,
-        threads: usize,
-    ) -> BatchSummary<T>
-    where
-        S: Fn(&T) -> Option<&SimulationStats>,
-    {
         let mut totals = SimulationStats::default();
         let mut succeeded = 0;
-        for outcome in &outcomes {
-            if let Some(stats) = stats_of(outcome) {
-                totals.merge(stats);
-                succeeded += 1;
-            }
+        for stats in outcomes
+            .iter()
+            .filter_map(|outcome| outcome.stats.as_ref().ok())
+        {
+            totals.merge(stats);
+            succeeded += 1;
         }
         BatchSummary {
             outcomes,
@@ -429,8 +351,17 @@ impl Default for BatchRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::WaveformRecorder;
     use halotis_core::{LogicLevel, Time};
     use halotis_netlist::{generators, technology};
+
+    fn record(
+        runner: BatchRunner,
+        circuit: &CompiledCircuit<'_>,
+        scenarios: &[Scenario],
+    ) -> ObservedReport<WaveformRecorder> {
+        runner.run_observed(circuit, scenarios, |_, _| WaveformRecorder::new())
+    }
 
     fn chain_scenarios(library: &halotis_netlist::Library, count: usize) -> Vec<Scenario> {
         (0..count)
@@ -449,7 +380,7 @@ mod tests {
         let library = technology::cmos06();
         let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
         let scenarios = chain_scenarios(&library, 7);
-        let report = BatchRunner::with_threads(3).run(&circuit, &scenarios);
+        let report = record(BatchRunner::with_threads(3), &circuit, &scenarios);
         assert_eq!(report.len(), 7);
         assert!(!report.is_empty());
         assert_eq!(report.failed(), 0);
@@ -458,7 +389,7 @@ mod tests {
         for (index, outcome) in report.outcomes().iter().enumerate() {
             assert_eq!(outcome.label, format!("s{index}"));
         }
-        assert_eq!(report.results().count(), 7);
+        assert_eq!(report.observers().count(), 7);
     }
 
     #[test]
@@ -478,14 +409,13 @@ mod tests {
                 Scenario::new(format!("{i}"), stimulus, SimulationConfig::ddm())
             })
             .collect();
-        let sequential = BatchRunner::with_threads(1).run(&circuit, &scenarios);
-        let parallel = BatchRunner::with_threads(4).run(&circuit, &scenarios);
+        let sequential = record(BatchRunner::with_threads(1), &circuit, &scenarios);
+        let parallel = record(BatchRunner::with_threads(4), &circuit, &scenarios);
         assert_eq!(sequential.totals(), parallel.totals());
         for (a, b) in sequential.outcomes().iter().zip(parallel.outcomes()) {
-            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(a.stats(), b.stats());
-            for (name, waveform) in a.waveforms().iter() {
-                assert_eq!(Some(waveform), b.waveform(name));
+            assert_eq!(a.stats.as_ref().unwrap(), b.stats.as_ref().unwrap());
+            for net in netlist.nets() {
+                assert_eq!(a.observer.waveform(net.id()), b.observer.waveform(net.id()));
             }
         }
     }
@@ -505,12 +435,12 @@ mod tests {
                 SimulationConfig::ddm(),
             ),
         );
-        let report = BatchRunner::with_threads(2).run(&circuit, &scenarios);
+        let report = record(BatchRunner::with_threads(2), &circuit, &scenarios);
         assert_eq!(report.len(), 4);
         assert_eq!(report.failed(), 1);
         assert_eq!(report.succeeded(), 3);
         assert!(matches!(
-            report.outcomes()[1].result,
+            report.outcomes()[1].stats,
             Err(SimulationError::UndrivenPrimaryInput { .. })
         ));
     }
@@ -520,7 +450,7 @@ mod tests {
         let netlist = generators::inverter_chain(1);
         let library = technology::cmos06();
         let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
-        let report = BatchRunner::new().run(&circuit, &[]);
+        let report = record(BatchRunner::new(), &circuit, &[]);
         assert!(report.is_empty());
         assert_eq!(report.totals(), &SimulationStats::default());
     }

@@ -62,7 +62,8 @@ struct PendingCommit {
 ///
 /// # Errors
 ///
-/// Same error conditions as [`Simulator::run`](crate::Simulator::run).
+/// Same error conditions as
+/// [`CompiledCircuit::run_with`](crate::CompiledCircuit::run_with).
 ///
 /// # Example
 ///
@@ -269,8 +270,10 @@ mod tests {
         let library = technology::cmos06();
         let stimulus = step_stimulus(&library, 1.0);
         let classical = run(&netlist, &library, &stimulus, &SimulationConfig::cdm()).unwrap();
-        let halotis = crate::Simulator::new(&netlist, &library)
-            .run(&stimulus, &SimulationConfig::cdm())
+        let circuit = crate::CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let halotis = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::cdm())
             .unwrap();
         let c = classical.ideal_waveform("out").unwrap();
         let h = halotis.ideal_waveform("out").unwrap();

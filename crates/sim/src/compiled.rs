@@ -1,13 +1,11 @@
 //! The compile-once/run-many simulation core.
 //!
-//! [`Simulator::run`](crate::Simulator::run) used to rebuild every static
-//! table — dense pin indices, per-pin thresholds, timing arcs, gate loads,
-//! fanout lists — on every invocation, so multi-run workloads (the Table 1/2
-//! sweeps, the pulse-width scan, Monte-Carlo stimulus sets) paid the full
-//! circuit-compilation cost per stimulus.  [`CompiledCircuit`] splits that
-//! work off: it is built **once** per netlist + library and owns every
-//! immutable table in flat, cache-friendly arrays, while the per-run mutable
-//! state lives in a reusable [`SimState`] arena.
+//! [`CompiledCircuit`] is built **once** per netlist + library and owns
+//! every static table — dense pin indices, per-pin thresholds, timing arcs,
+//! gate loads, fanout lists — in flat, cache-friendly arrays, so multi-run
+//! workloads (the Table 1/2 sweeps, the pulse-width scan, Monte-Carlo
+//! stimulus sets) pay the circuit-compilation cost once, not per stimulus.
+//! The per-run mutable state lives in a reusable [`SimState`] arena.
 //!
 //! ```text
 //! Netlist + Library ──compile()──▶ CompiledCircuit   (immutable, Sync)
@@ -59,7 +57,7 @@ use std::borrow::Cow;
 use std::time::Instant;
 
 use halotis_core::{Capacitance, Edge, GateId, LogicLevel, NetId, PinRef, TimeDelta, Voltage};
-use halotis_delay::{BoundArc, CellClass, DelayContext, DelayModel, DelayModelKind, PinTiming};
+use halotis_delay::{BoundArc, CellClass, DelayContext, DelayModel, PinTiming};
 use halotis_netlist::edit::{EditLog, EditOp, EditSession};
 use halotis_netlist::levelize::{self, Levelization};
 use halotis_netlist::{eval, CellKind, Library, Netlist, NetlistError};
@@ -198,8 +196,7 @@ impl<'a> CompiledCircuit<'a> {
     /// # Errors
     ///
     /// Returns [`SimulationError::Library`] when a gate uses a cell or pin
-    /// the library does not characterise — the same condition the legacy
-    /// single-shot path reported per run.
+    /// the library does not characterise.
     pub fn compile(netlist: &'a Netlist, library: &'a Library) -> Result<Self, SimulationError> {
         Self::compile_cow(Cow::Borrowed(netlist), library)
     }
@@ -627,24 +624,6 @@ impl<'a> CompiledCircuit<'a> {
         Ok(())
     }
 
-    /// Runs one simulation with a throwaway state arena.
-    ///
-    /// Convenience for one-off runs; multi-run workloads should allocate the
-    /// arena once via [`new_state`](CompiledCircuit::new_state) and call
-    /// [`run_with`](CompiledCircuit::run_with).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_with`](CompiledCircuit::run_with).
-    pub fn run(
-        &self,
-        stimulus: &Stimulus,
-        config: &SimulationConfig,
-    ) -> Result<SimulationResult, SimulationError> {
-        let mut state = self.new_state();
-        self.run_with(&mut state, stimulus, config)
-    }
-
     /// Runs one simulation, reusing the caller's state arena and recording
     /// full waveforms.
     ///
@@ -697,13 +676,31 @@ impl<'a> CompiledCircuit<'a> {
         self.run_observed(state, stimulus, config, &mut ())
     }
 
-    /// Runs one simulation, streaming activity into `observer` (the paper's
-    /// Fig. 4 loop, observation decoupled from execution).
+    /// Runs one simulation, streaming activity into `observer` — the
+    /// paper's Fig. 4 algorithm, observation decoupled from execution.
+    ///
+    /// For every event popped from the queue the loop
+    ///
+    /// 1. updates the level of the gate input where the event occurred,
+    /// 2. re-evaluates the gate; if the output value changes, it computes
+    ///    the output transition through the configured [`DelayModel`] (DDM
+    ///    applies the degradation of eq. 1 using `T`, the time since the
+    ///    gate's previous output transition),
+    /// 3. records the transition on the output net — **every** transition
+    ///    is reported, even runt pulses, because in the IDDM filtering
+    ///    happens at the receiving inputs, not at the driving output,
+    /// 4. generates one candidate event per fanout input at the instant the
+    ///    new ramp crosses that input's own threshold (Fig. 3), letting the
+    ///    queue's per-input rule insert it or cancel the pulse for that
+    ///    input.  The queue is a bucketed time wheel ([`crate::queue`])
+    ///    whose pop order — time, then schedule serial — makes the whole
+    ///    loop deterministic.
     ///
     /// The engine pushes every emitted transition, filtered event and gate
     /// evaluation to the [`SimObserver`]; what (if anything) is retained is
     /// the observer's choice.  See [`observer`](crate::observer) for the
-    /// shipped implementations.
+    /// shipped implementations.  The arena is reset on entry, so results
+    /// never depend on what it ran before.
     ///
     /// # Errors
     ///
@@ -874,27 +871,6 @@ impl<'a> CompiledCircuit<'a> {
         Ok(stats)
     }
 
-    /// Runs the same stimulus under both delay models through one shared
-    /// state arena and returns `(ddm, cdm)` — the comparison the paper's
-    /// Table 1 makes, without compiling or allocating twice.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error of either run.
-    pub fn run_both_models(
-        &self,
-        stimulus: &Stimulus,
-        base: &SimulationConfig,
-    ) -> Result<(SimulationResult, SimulationResult), SimulationError> {
-        let mut state = self.new_state();
-        let ddm_config = base.clone().model(DelayModelKind::Degradation);
-        let cdm_config = base.clone().model(DelayModelKind::Conventional);
-        Ok((
-            self.run_with(&mut state, stimulus, &ddm_config)?,
-            self.run_with(&mut state, stimulus, &cdm_config)?,
-        ))
-    }
-
     /// Schedules the events one output transition generates: one per fanout
     /// input whose threshold the ramp crosses, each at its own precomputed
     /// crossing progress (paper Fig. 3) — shared by the stimulus loop and
@@ -942,6 +918,7 @@ impl<'a> CompiledCircuit<'a> {
 mod tests {
     use super::*;
     use halotis_core::{LogicLevel, Time};
+    use halotis_delay::DelayModelKind;
     use halotis_netlist::{generators, technology};
 
     fn chain_stimulus(library: &Library) -> Stimulus {
@@ -1004,8 +981,10 @@ mod tests {
         stimulus.drive_bus_value(&ports.a_refs(), 0x5, Time::from_ns(1.0));
         stimulus.drive_bus_value(&ports.b_refs(), 0x6, Time::from_ns(1.0));
 
-        let fresh = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
         let mut state = circuit.new_state();
+        let fresh = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+            .unwrap();
         // Dirty the arena with an unrelated run, then repeat the stimulus.
         circuit
             .run_with(&mut state, &stimulus, &SimulationConfig::cdm())
@@ -1022,19 +1001,6 @@ mod tests {
                 net.name()
             );
         }
-    }
-
-    #[test]
-    fn run_both_models_shares_one_arena() {
-        let netlist = generators::inverter_chain(6);
-        let library = technology::cmos06();
-        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
-        let (ddm, cdm) = circuit
-            .run_both_models(&chain_stimulus(&library), &SimulationConfig::default())
-            .unwrap();
-        assert_eq!(ddm.model_kind(), Some(DelayModelKind::Degradation));
-        assert_eq!(cdm.model_kind(), Some(DelayModelKind::Conventional));
-        assert!(ddm.stats().events_processed > 0);
     }
 
     #[test]
@@ -1056,9 +1022,19 @@ mod tests {
         let chain = chain_stimulus(&library);
 
         let fresh_big = big_circuit
-            .run(&big_stimulus, &SimulationConfig::ddm())
+            .run_with(
+                &mut big_circuit.new_state(),
+                &big_stimulus,
+                &SimulationConfig::ddm(),
+            )
             .unwrap();
-        let fresh_small = small_circuit.run(&chain, &SimulationConfig::ddm()).unwrap();
+        let fresh_small = small_circuit
+            .run_with(
+                &mut small_circuit.new_state(),
+                &chain,
+                &SimulationConfig::ddm(),
+            )
+            .unwrap();
 
         let mut arena = big_circuit.new_state();
         big_circuit
@@ -1107,12 +1083,186 @@ mod tests {
         let netlist = generators::c17();
         let library = technology::cmos06();
         let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
         let err = circuit
-            .run(
+            .run_with(
+                &mut state,
                 &Stimulus::new(library.default_input_slew()),
                 &SimulationConfig::ddm(),
             )
             .unwrap_err();
         assert!(matches!(err, SimulationError::UndrivenPrimaryInput { .. }));
+    }
+
+    /// One fresh-arena run — the single-stimulus call shape.
+    fn run_once(
+        netlist: &Netlist,
+        stimulus: &Stimulus,
+        config: &SimulationConfig,
+    ) -> Result<SimulationResult, SimulationError> {
+        let library = technology::cmos06();
+        let circuit = CompiledCircuit::compile(netlist, &library)?;
+        circuit.run_with(&mut circuit.new_state(), stimulus, config)
+    }
+
+    #[test]
+    fn inverter_chain_propagates_with_increasing_delay() {
+        let netlist = generators::inverter_chain(4);
+        let library = technology::cmos06();
+        let result = run_once(
+            &netlist,
+            &chain_stimulus(&library),
+            &SimulationConfig::ddm(),
+        )
+        .unwrap();
+        // The final output follows the input with the accumulated delay of
+        // four inverters: it rises (even number of inversions) after 1 ns.
+        let out = result.ideal_waveform("out").unwrap();
+        assert_eq!(out.edge_count(), 2);
+        let first_edge = out.changes()[0].0;
+        assert!(first_edge > Time::from_ns(1.0));
+        assert!(first_edge < Time::from_ns(4.0));
+        // Each stage adds delay: intermediate nets switch earlier than `out`.
+        let n1 = result.ideal_waveform("n1").unwrap();
+        assert!(n1.changes()[0].0 < first_edge);
+        assert!(result.stats().events_processed >= 8);
+    }
+
+    #[test]
+    fn event_budget_is_enforced() {
+        let netlist = generators::inverter_chain(8);
+        let library = technology::cmos06();
+        let config = SimulationConfig::ddm().with_max_events(2);
+        let err = run_once(&netlist, &chain_stimulus(&library), &config).unwrap_err();
+        assert_eq!(err, SimulationError::EventBudgetExhausted { budget: 2 });
+    }
+
+    #[test]
+    fn time_limit_truncates_the_run() {
+        let netlist = generators::inverter_chain(8);
+        let library = technology::cmos06();
+        let stimulus = chain_stimulus(&library);
+        let unlimited = run_once(&netlist, &stimulus, &SimulationConfig::ddm()).unwrap();
+        let limited = run_once(
+            &netlist,
+            &stimulus,
+            &SimulationConfig::ddm().with_time_limit(Time::from_ns(1.5)),
+        )
+        .unwrap();
+        assert!(limited.stats().events_processed < unlimited.stats().events_processed);
+    }
+
+    /// Runs `stimulus` under DDM then CDM on one shared arena.
+    fn both_models(netlist: &Netlist, stimulus: &Stimulus) -> (SimulationResult, SimulationResult) {
+        let library = technology::cmos06();
+        let circuit = CompiledCircuit::compile(netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let ddm = circuit.run_with(&mut state, stimulus, &SimulationConfig::ddm());
+        let cdm = circuit.run_with(&mut state, stimulus, &SimulationConfig::cdm());
+        (ddm.unwrap(), cdm.unwrap())
+    }
+
+    #[test]
+    fn both_models_agree_on_a_glitch_free_circuit() {
+        // A single slow edge through an inverter chain never triggers the
+        // degradation model, so DDM and CDM must give identical waveforms.
+        let netlist = generators::inverter_chain(3);
+        let library = technology::cmos06();
+        let mut stimulus = Stimulus::new(library.default_input_slew());
+        stimulus.set_initial("in", LogicLevel::Low);
+        stimulus.drive("in", Time::from_ns(2.0), LogicLevel::High);
+        let (ddm, cdm) = both_models(&netlist, &stimulus);
+        assert_eq!(ddm.stats().events_processed, cdm.stats().events_processed);
+        assert_eq!(ddm.stats().degraded_transitions, 0);
+        let ddm_out = ddm.ideal_waveform("out").unwrap();
+        let cdm_out = cdm.ideal_waveform("out").unwrap();
+        assert_eq!(ddm_out.changes(), cdm_out.changes());
+    }
+
+    #[test]
+    fn narrow_input_pulse_is_degraded_and_eventually_filtered() {
+        // A pulse much narrower than the chain delay: with DDM the pulse
+        // shrinks stage after stage and disappears; the total number of
+        // half-swing edges seen downstream is smaller than with CDM.
+        let netlist = generators::inverter_chain(6);
+        let library = technology::cmos06();
+        let mut stimulus = Stimulus::new(library.default_input_slew());
+        stimulus.set_initial("in", LogicLevel::Low);
+        stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
+        stimulus.drive("in", Time::from_ns(1.25), LogicLevel::Low);
+        let (ddm, cdm) = both_models(&netlist, &stimulus);
+        assert!(ddm.stats().degraded_transitions > 0);
+        let ddm_edges = ddm.ideal_waveform("out").unwrap().edge_count();
+        let cdm_edges = cdm.ideal_waveform("out").unwrap().edge_count();
+        assert!(
+            ddm_edges <= cdm_edges,
+            "DDM produced more output edges ({ddm_edges}) than CDM ({cdm_edges})"
+        );
+        // Both settle back to the quiescent value.
+        assert_eq!(
+            ddm.ideal_waveform("out").unwrap().final_level(),
+            cdm.ideal_waveform("out").unwrap().final_level()
+        );
+    }
+
+    #[test]
+    fn per_input_thresholds_split_one_pulse_between_fanouts() {
+        // The Fig. 1 circuit: a marginal pulse on out0 reaches the
+        // low-threshold branch but not the high-threshold branch.
+        let (netlist, nets) = generators::figure1(0.15, 0.85);
+        let library = technology::cmos06();
+        let mut stimulus = Stimulus::new(library.default_input_slew());
+        stimulus.set_initial("in", LogicLevel::Low);
+        // A pulse narrow enough to be marginal after the shaping chain.
+        stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
+        stimulus.drive("in", Time::from_ns(1.35), LogicLevel::Low);
+        let result = run_once(&netlist, &stimulus, &SimulationConfig::ddm()).unwrap();
+        let low_branch = result.waveform(&nets.out1).unwrap().len();
+        let high_branch = result.waveform(&nets.out2).unwrap().len();
+        assert!(
+            low_branch >= high_branch,
+            "low-threshold branch ({low_branch}) should see at least as many transitions as the high-threshold branch ({high_branch})"
+        );
+        assert!(result.stats().events_filtered > 0 || high_branch < 2);
+    }
+
+    #[test]
+    fn multiplier_settles_to_the_correct_product() {
+        let netlist = generators::multiplier(4, 4);
+        let ports = generators::MultiplierPorts::new(4, 4);
+        let library = technology::cmos06();
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        for (a, b) in [(0x7u64, 0x7u64), (0x5, 0xA), (0xE, 0x6), (0xF, 0xF)] {
+            let mut stimulus = Stimulus::new(library.default_input_slew());
+            for bit in ports.a_refs().iter().chain(ports.b_refs().iter()) {
+                stimulus.set_initial(*bit, LogicLevel::Low);
+            }
+            stimulus.drive_bus_value(&ports.a_refs(), a, Time::from_ns(1.0));
+            stimulus.drive_bus_value(&ports.b_refs(), b, Time::from_ns(1.0));
+            let result = circuit
+                .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+                .unwrap();
+            let mut product = 0u64;
+            for (bit, name) in ports.s.iter().enumerate() {
+                if result.ideal_waveform(name).unwrap().final_level() == LogicLevel::High {
+                    product |= 1 << bit;
+                }
+            }
+            assert_eq!(product, a * b, "{a:#x} x {b:#x}");
+        }
+    }
+
+    #[test]
+    fn model_kind_is_recorded_in_the_result() {
+        // DDM then CDM through one shared arena: each result carries the
+        // model of its own configuration.
+        let netlist = generators::inverter_chain(6);
+        let (ddm, cdm) = both_models(&netlist, &chain_stimulus(&technology::cmos06()));
+        assert_eq!(ddm.model_kind(), Some(DelayModelKind::Degradation));
+        assert_eq!(ddm.model_label(), "DDM");
+        assert_eq!(cdm.model_kind(), Some(DelayModelKind::Conventional));
+        assert_eq!(cdm.model_label(), "CDM");
+        assert!(ddm.stats().events_processed > 0);
     }
 }

@@ -12,18 +12,16 @@
 //!   Fig. 4 (an event arriving *before* the pending previous event on the
 //!   same input deletes it: that is where runt pulses die, per input),
 //! * [`compiled`] / [`state`] — the compile-once/run-many core: a
-//!   [`CompiledCircuit`] holds every static table in flat arrays, a
-//!   [`SimState`] arena holds the per-run mutable state and is reset (not
-//!   reallocated) between runs,
+//!   [`CompiledCircuit`] holds every static table in flat arrays and runs
+//!   the simulation algorithm of Fig. 4 ([`CompiledCircuit::run_observed`]:
+//!   pop event, evaluate the gate through the configured [`DelayModel`],
+//!   emit the output transition, generate one event per fanout input
+//!   threshold, Fig. 3); a [`SimState`] arena holds the per-run mutable
+//!   state and is reset (not reallocated) between runs,
 //! * [`observer`] — the streaming [`SimObserver`] contract the engine
 //!   drives: the engine executes, observers decide what to retain
 //!   ([`WaveformRecorder`], [`ActivityCounter`], [`VcdStreamer`],
 //!   [`PowerAccumulator`]),
-//! * [`engine`] — the single-shot [`Simulator`] front end over the compiled
-//!   core, executing the simulation algorithm of Fig. 4: pop event, evaluate
-//!   the gate through the configured
-//!   [`DelayModel`], emit the output transition,
-//!   generate one event per fanout input threshold (Fig. 3),
 //! * [`batch`] — the [`BatchRunner`], executing many `(stimulus, config)`
 //!   scenarios across scoped threads sharing one [`CompiledCircuit`],
 //! * [`classical`] — a conventional single-threshold, inertial-delay
@@ -37,46 +35,26 @@
 //!
 //! | Workload | Call | Produces |
 //! |---|---|---|
-//! | One stimulus, full waveforms | [`Simulator::run`] | [`SimulationResult`] |
-//! | Both models on one stimulus | [`Simulator::run_both_models`] / [`CompiledCircuit::run_both_models`] | `(ddm, cdm)` results |
-//! | Many stimuli, sequential, full waveforms | [`CompiledCircuit::run_with`] + reused [`SimState`] | [`SimulationResult`] per run |
-//! | Many stimuli, statistics only | [`CompiledCircuit::run_stats`] | [`SimulationStats`] per run, zero waveform memory |
+//! | Full waveforms of one run | [`CompiledCircuit::run_with`] | [`SimulationResult`] |
+//! | Statistics only | [`CompiledCircuit::run_stats`] | [`SimulationStats`], zero waveform memory |
 //! | Custom retention (counts, VCD, power, your own) | [`CompiledCircuit::run_observed`] | whatever the [`SimObserver`] keeps |
-//! | Many stimuli, parallel, full waveforms | [`BatchRunner::run`] | [`BatchReport`] of results |
-//! | Many stimuli, parallel, streaming observers | [`BatchRunner::run_observed`] | [`ObservedReport`] of observers |
+//! | Many stimuli in parallel | [`BatchRunner::run_observed`] | [`ObservedReport`] of observers |
 //!
+//! Every call reuses a caller-owned [`SimState`] arena (the batch runner
+//! keeps one per worker).  Comparing the two delay models is two calls on
+//! one arena, with [`SimulationConfig::ddm`] and [`SimulationConfig::cdm`].
 //! The delay model is part of the [`SimulationConfig`]
 //! (`config.model(...)`), never of the call: every row above runs under the
 //! built-in DDM/CDM kinds, a
 //! [`PerCellOverride`](halotis_delay::PerCellOverride) mix, or any custom
 //! [`DelayModel`] implementation alike.
 //!
-//! # Migrating from the enum-only API
-//!
-//! The engine used to branch on a `DelayModelKind` enum and always record
-//! waveforms.  Call sites migrate mechanically:
-//!
-//! * `SimulationConfig::with_model(kind)` →
-//!   `SimulationConfig::default().model(kind)` (the old constructor has
-//!   been removed; `ddm()` / `cdm()` are unchanged),
-//! * assignments `config.model = kind` → `config.model = kind.into()` (the
-//!   field now holds a [`DelayModelHandle`],
-//!   which any `DelayModel` implementation converts into),
-//! * `result.model()` now returns the handle; use
-//!   [`SimulationResult::model_kind`] where the built-in kind was matched
-//!   and [`SimulationResult::model_label`] for report text,
-//! * code that only consumed statistics or counts from a
-//!   [`SimulationResult`] should switch to [`CompiledCircuit::run_stats`],
-//!   an [`ActivityCounter`], or [`BatchRunner::run_observed`] and skip
-//!   waveform retention entirely.
-//!
 //! # Quick start
 //!
 //! ```
 //! use halotis_core::{LogicLevel, Time};
-//! use halotis_delay::DelayModelKind;
 //! use halotis_netlist::{generators, technology};
-//! use halotis_sim::{SimulationConfig, Simulator};
+//! use halotis_sim::{CompiledCircuit, SimulationConfig};
 //! use halotis_waveform::Stimulus;
 //!
 //! // Three inversions: a rising input edge produces a falling output edge.
@@ -86,8 +64,9 @@
 //! stimulus.set_initial("in", LogicLevel::Low);
 //! stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
 //!
-//! let simulator = Simulator::new(&netlist, &library);
-//! let result = simulator.run(&stimulus, &SimulationConfig::ddm())?;
+//! let circuit = CompiledCircuit::compile(&netlist, &library)?;
+//! let mut state = circuit.new_state();
+//! let result = circuit.run_with(&mut state, &stimulus, &SimulationConfig::ddm())?;
 //! assert!(result.stats().events_processed > 0);
 //! let out = result.ideal_waveform("out").expect("output net exists");
 //! assert_eq!(out.final_level(), LogicLevel::Low);
@@ -101,7 +80,6 @@ pub mod batch;
 pub mod classical;
 pub mod compiled;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod event;
 pub mod observer;
@@ -115,13 +93,9 @@ pub mod state;
 pub mod stats;
 pub mod wheel;
 
-pub use batch::{
-    BatchReport, BatchRunner, BatchSummary, ObservedOutcome, ObservedReport, Scenario,
-    ScenarioOutcome,
-};
+pub use batch::{BatchRunner, BatchSummary, ObservedOutcome, ObservedReport, Scenario};
 pub use compiled::CompiledCircuit;
 pub use config::SimulationConfig;
-pub use engine::Simulator;
 pub use error::SimulationError;
 pub use event::Event;
 pub use observer::{ActivityCounter, PowerAccumulator, SimObserver, VcdStreamer, WaveformRecorder};

@@ -492,9 +492,11 @@ mod tests {
         let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
         let stimulus = chain_stimulus(&library);
 
-        let result = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
-        let mut activity = ActivityCounter::new();
         let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+            .unwrap();
+        let mut activity = ActivityCounter::new();
         let stats = circuit
             .run_observed(
                 &mut state,
@@ -530,11 +532,13 @@ mod tests {
             stimulus.drive(name, Time::from_ns(1.0), LogicLevel::High);
         }
 
-        let result = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+        let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+            .unwrap();
         let recorded = power::estimate_compiled(&circuit, &result);
 
         let mut accumulator = PowerAccumulator::new();
-        let mut state = circuit.new_state();
         circuit
             .run_observed(
                 &mut state,
@@ -558,11 +562,13 @@ mod tests {
         let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
         let stimulus = chain_stimulus(&library);
 
-        let result = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+        let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+            .unwrap();
         let batch = vcd::to_string("chain", &result.full_trace());
 
         let mut streamer = VcdStreamer::new(Vec::new(), "chain");
-        let mut state = circuit.new_state();
         circuit
             .run_observed(
                 &mut state,

@@ -94,7 +94,7 @@ impl PowerReport {
 /// ```
 /// use halotis_core::{LogicLevel, Time};
 /// use halotis_netlist::{generators, technology};
-/// use halotis_sim::{power, SimulationConfig, Simulator};
+/// use halotis_sim::{power, CompiledCircuit, SimulationConfig};
 /// use halotis_waveform::Stimulus;
 ///
 /// let netlist = generators::inverter_chain(3);
@@ -102,8 +102,8 @@ impl PowerReport {
 /// let mut stimulus = Stimulus::new(library.default_input_slew());
 /// stimulus.set_initial("in", LogicLevel::Low);
 /// stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
-/// let result = Simulator::new(&netlist, &library)
-///     .run(&stimulus, &SimulationConfig::ddm())?;
+/// let circuit = CompiledCircuit::compile(&netlist, &library)?;
+/// let result = circuit.run_with(&mut circuit.new_state(), &stimulus, &SimulationConfig::ddm())?;
 /// let report = power::estimate(&netlist, &library, &result)?;
 /// assert!(report.total_joules() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -142,7 +142,7 @@ pub fn estimate(
 /// let mut stimulus = Stimulus::new(library.default_input_slew());
 /// stimulus.set_initial("in", LogicLevel::Low);
 /// stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
-/// let result = circuit.run(&stimulus, &SimulationConfig::ddm())?;
+/// let result = circuit.run_with(&mut circuit.new_state(), &stimulus, &SimulationConfig::ddm())?;
 /// let report = power::estimate_compiled(&circuit, &result);
 /// assert!(report.total_joules() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -211,7 +211,7 @@ pub(crate) fn report_from_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimulationConfig, Simulator};
+    use crate::{CompiledCircuit, SimulationConfig};
     use halotis_core::{LogicLevel, Time};
     use halotis_netlist::{generators, technology};
     use halotis_waveform::Stimulus;
@@ -224,10 +224,11 @@ mod tests {
         for &(at, level) in edges {
             stimulus.drive("in", Time::from_ns(at), level);
         }
-        let simulator = Simulator::new(&netlist, &library);
-        let (ddm, cdm) = simulator
-            .run_both_models(&stimulus, &SimulationConfig::default())
-            .unwrap();
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let ddm = circuit.run_with(&mut state, &stimulus, &SimulationConfig::ddm());
+        let cdm = circuit.run_with(&mut state, &stimulus, &SimulationConfig::cdm());
+        let (ddm, cdm) = (ddm.unwrap(), cdm.unwrap());
         (
             estimate(&netlist, &library, &ddm).unwrap(),
             estimate(&netlist, &library, &cdm).unwrap(),
@@ -271,8 +272,10 @@ mod tests {
         let library = technology::cmos06();
         let mut stimulus = Stimulus::new(library.default_input_slew());
         stimulus.set_initial("in", LogicLevel::Low);
-        let result = Simulator::new(&netlist, &library)
-            .run(&stimulus, &SimulationConfig::ddm())
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
             .unwrap();
         let report = estimate(&netlist, &library, &result).unwrap();
         assert_eq!(report.total_transitions(), 0);
@@ -284,11 +287,14 @@ mod tests {
     fn compiled_estimate_matches_the_library_walking_estimate() {
         let netlist = generators::inverter_chain(4);
         let library = technology::cmos06();
-        let circuit = crate::CompiledCircuit::compile(&netlist, &library).unwrap();
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
         let mut stimulus = Stimulus::new(library.default_input_slew());
         stimulus.set_initial("in", LogicLevel::Low);
         stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
-        let result = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+        let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+            .unwrap();
         let walked = estimate(&netlist, &library, &result).unwrap();
         let compiled = estimate_compiled(&circuit, &result);
         assert_eq!(walked, compiled);
@@ -301,8 +307,10 @@ mod tests {
         let mut stimulus = Stimulus::new(library.default_input_slew());
         stimulus.set_initial("in", LogicLevel::Low);
         stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
-        let result = Simulator::new(&netlist, &library)
-            .run(&stimulus, &SimulationConfig::ddm())
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
             .unwrap();
         let report = estimate(&netlist, &library, &result).unwrap();
         let expected: f64 = report

@@ -1,9 +1,8 @@
 //! Output-ramp shaping rules shared by the simulation engines.
 //!
-//! Both the HALOTIS engine ([`CompiledCircuit`](crate::CompiledCircuit),
-//! driving [`Simulator`](crate::Simulator)) and the classical baseline
-//! ([`classical`](crate::classical)) need the same two small pieces of
-//! waveform bookkeeping.  They used to be duplicated inline in each engine;
+//! Both the HALOTIS engine ([`CompiledCircuit`](crate::CompiledCircuit))
+//! and the classical baseline ([`classical`](crate::classical)) need the
+//! same two small pieces of waveform bookkeeping.  They used to be duplicated inline in each engine;
 //! this module is the single home for both.
 
 use halotis_core::{Edge, LogicLevel, Time, TimeDelta};

@@ -4,9 +4,9 @@
 //! A 6-stage inverter chain is compiled a single time; 64 pulse scenarios
 //! (random widths around the chain's filtering region, under both delay
 //! models) then run across all available hardware threads, each worker
-//! reusing one state arena.  The example prints the per-model survival and
-//! dynamic-energy statistics (via `power::estimate_compiled`, which reuses
-//! the compiled net capacitances) and the batch throughput.
+//! reusing one state arena.  Each scenario streams into a waveform recorder
+//! paired with a power accumulator; the example prints the per-model
+//! survival and dynamic-energy statistics and the batch throughput.
 //!
 //! ```text
 //! cargo run --release --example batch_sweep
@@ -14,7 +14,9 @@
 
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::netlist::{generators, technology};
-use halotis::sim::{power, BatchRunner, CompiledCircuit, Scenario, SimulationConfig};
+use halotis::sim::{
+    BatchRunner, CompiledCircuit, PowerAccumulator, Scenario, SimulationConfig, WaveformRecorder,
+};
 use halotis::waveform::Stimulus;
 
 /// Deterministic SplitMix64 so the sweep is reproducible without extra
@@ -69,24 +71,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         runner.threads()
     );
 
-    let report = runner.run(&circuit, &scenarios);
+    let report = runner.run_observed(&circuit, &scenarios, |_, _| {
+        (WaveformRecorder::new(), PowerAccumulator::new())
+    });
+    let out = netlist.net_id("out").expect("the chain has an `out` net");
     let mut survived = [0usize; 2];
     let mut filtered = [0usize; 2];
     let mut energy_joules = [0.0f64; 2];
     for chunk in report.outcomes().chunks(2) {
         // Scenario::both_models pairs: element 0 is DDM, element 1 is CDM.
         for (model, outcome) in chunk.iter().enumerate() {
-            let result = outcome.result.as_ref().map_err(|error| error.clone())?;
-            let pulses = result
-                .ideal_waveform("out")
-                .map(|w| w.edge_count() >= 2)
+            outcome.stats.as_ref().map_err(|error| error.clone())?;
+            let (recorder, power) = &outcome.observer;
+            let pulses = recorder
+                .waveform(out)
+                .map(|w| w.ideal_half_swing(library.vdd()).edge_count() >= 2)
                 .unwrap_or(false);
             if pulses {
                 survived[model] += 1;
             } else {
                 filtered[model] += 1;
             }
-            energy_joules[model] += power::estimate_compiled(&circuit, result).total_joules();
+            energy_joules[model] += power.total_joules();
         }
     }
     println!("\npulse survival at the far end of the chain:");

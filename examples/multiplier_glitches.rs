@@ -27,8 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stimulus = multiplier_stimulus(&fixture.ports, SEQUENCE_FIG6);
     let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library)?;
 
-    // HALOTIS with and without degradation, sharing one compiled circuit.
-    let (ddm, cdm) = circuit.run_both_models(&stimulus, &SimulationConfig::default())?;
+    // HALOTIS with and without degradation, sharing one compiled circuit
+    // and one state arena.
+    let mut state = circuit.new_state();
+    let ddm = circuit.run_with(&mut state, &stimulus, &SimulationConfig::ddm())?;
+    let cdm = circuit.run_with(&mut state, &stimulus, &SimulationConfig::cdm())?;
     println!("\nHALOTIS-DDM: {}", ddm.stats());
     println!("HALOTIS-CDM: {}", cdm.stats());
     println!(

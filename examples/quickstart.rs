@@ -7,7 +7,7 @@
 
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::netlist::{technology, CellKind, NetlistBuilder};
-use halotis::sim::{SimulationConfig, Simulator};
+use halotis::sim::{CompiledCircuit, SimulationConfig};
 use halotis::waveform::ascii::{render_trace, AsciiOptions};
 use halotis::waveform::{vcd, Stimulus};
 
@@ -34,9 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     stimulus.drive("b", Time::from_ns(3.0), LogicLevel::Low);
     stimulus.drive("b", Time::from_ns(3.3), LogicLevel::High);
 
-    // 4. Simulate with the inertial and degradation delay model.
-    let simulator = Simulator::new(&netlist, &library);
-    let result = simulator.run(&stimulus, &SimulationConfig::ddm())?;
+    // 4. Compile the circuit once, then simulate with the inertial and
+    //    degradation delay model in a fresh state arena.
+    let circuit = CompiledCircuit::compile(&netlist, &library)?;
+    let mut state = circuit.new_state();
+    let result = circuit.run_with(&mut state, &stimulus, &SimulationConfig::ddm())?;
 
     // 5. Look at what happened.
     println!("simulation statistics: {}", result.stats());

@@ -37,16 +37,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let fixture = multiplier_fixture_sized(a_bits, b_bits);
         // One compilation per multiplier size serves every vector count.
         let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library)?;
+        let mut state = circuit.new_state();
         for &vectors in &[5usize, 10, 20] {
             let pairs = operands(0xDA7E_2001 + vectors as u64, vectors, a_bits.min(b_bits));
             let stimulus = multiplier_stimulus(&fixture.ports, &pairs);
-            let (ddm, cdm) = circuit.run_both_models(&stimulus, &SimulationConfig::default())?;
+            let ddm = circuit.run_stats(&mut state, &stimulus, &SimulationConfig::ddm())?;
+            let cdm = circuit.run_stats(&mut state, &stimulus, &SimulationConfig::cdm())?;
             println!(
                 "| {a_bits}x{b_bits}  | {vectors:7} | {:10} | {:10} | {:13.0}% | {:12} |",
-                ddm.stats().events_scheduled,
-                cdm.stats().events_scheduled,
-                ddm.stats().overestimation_percent(cdm.stats()),
-                ddm.stats().events_filtered,
+                ddm.events_scheduled,
+                cdm.events_scheduled,
+                ddm.overestimation_percent(&cdm),
+                ddm.events_filtered,
             );
             if vectors == 5 && a_bits == 4 {
                 println!("  (sequence {})", sequence_label(&pairs));

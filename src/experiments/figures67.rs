@@ -123,9 +123,13 @@ pub fn waveform_figure_on(
     let stimulus = multiplier_stimulus(&fixture.ports, pairs);
     let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library)
         .expect("multiplier fixture compiles");
-    let (ddm, cdm) = circuit
-        .run_both_models(&stimulus, &SimulationConfig::default())
-        .expect("multiplier fixture simulates under both models");
+    let mut state = circuit.new_state();
+    let ddm = circuit
+        .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+        .expect("multiplier fixture simulates under DDM");
+    let cdm = circuit
+        .run_with(&mut state, &stimulus, &SimulationConfig::cdm())
+        .expect("multiplier fixture simulates under CDM");
     let analog = AnalogSimulator::new(&fixture.netlist, &fixture.library)
         .run(
             &stimulus,

@@ -12,7 +12,9 @@ use halotis_analog::{AnalogConfig, AnalogSimulator};
 use halotis_core::{LogicLevel, Time, TimeDelta};
 use halotis_netlist::generators::inverter_chain;
 use halotis_netlist::{technology, Library, Netlist};
-use halotis_sim::{BatchRunner, CompiledCircuit, Scenario, SimulationConfig, SimulationResult};
+use halotis_sim::{
+    BatchRunner, CompiledCircuit, ObservedOutcome, Scenario, SimulationConfig, WaveformRecorder,
+};
 use halotis_waveform::{IdealWaveform, Stimulus};
 
 /// One point of the sweep.
@@ -71,10 +73,6 @@ fn analog_point(
     analog.ideal_waveform("out").and_then(|w| widest_pulse(&w))
 }
 
-fn output_width(result: &SimulationResult) -> Option<TimeDelta> {
-    result.ideal_waveform("out").and_then(|w| widest_pulse(&w))
-}
-
 /// Runs the sweep over `widths_ps` through an inverter chain of `stages`
 /// stages.
 ///
@@ -100,7 +98,17 @@ pub fn pulse_width_sweep(
             )
         })
         .collect();
-    let report = BatchRunner::new().run(&circuit, &scenarios);
+    let report =
+        BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
+    let out = netlist.net_id("out").expect("the chain has an `out` net");
+    let output_width = |outcome: &ObservedOutcome<WaveformRecorder>| {
+        outcome
+            .stats
+            .as_ref()
+            .expect("inverter chain simulates under both models");
+        let waveform = outcome.observer.waveform(out)?;
+        widest_pulse(&waveform.ideal_half_swing(library.vdd()))
+    };
     let points = widths_ps
         .iter()
         .zip(report.outcomes().chunks(2))
@@ -112,16 +120,8 @@ pub fn pulse_width_sweep(
             PulseWidthPoint {
                 input_width: width,
                 analog_output: analog_point(&netlist, &library, width, analog_step),
-                ddm_output: output_width(
-                    ddm.result
-                        .as_ref()
-                        .expect("inverter chain simulates under DDM"),
-                ),
-                cdm_output: output_width(
-                    cdm.result
-                        .as_ref()
-                        .expect("inverter chain simulates under CDM"),
-                ),
+                ddm_output: output_width(ddm),
+                cdm_output: output_width(cdm),
             }
         })
         .collect();

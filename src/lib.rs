@@ -24,12 +24,13 @@
 //!
 //! ```
 //! use halotis::experiments::{multiplier_fixture, multiplier_stimulus, SEQUENCE_FIG6};
-//! use halotis::sim::{SimulationConfig, Simulator};
+//! use halotis::sim::{CompiledCircuit, SimulationConfig};
 //!
 //! let fixture = multiplier_fixture();
 //! let stimulus = multiplier_stimulus(&fixture.ports, SEQUENCE_FIG6);
-//! let simulator = Simulator::new(&fixture.netlist, &fixture.library);
-//! let result = simulator.run(&stimulus, &SimulationConfig::ddm())?;
+//! let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library)?;
+//! let mut state = circuit.new_state();
+//! let result = circuit.run_with(&mut state, &stimulus, &SimulationConfig::ddm())?;
 //! assert!(result.stats().events_processed > 0);
 //! # Ok::<(), halotis::sim::SimulationError>(())
 //! ```

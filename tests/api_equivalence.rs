@@ -26,7 +26,7 @@ use halotis::delay::{
 use halotis::netlist::{generators, technology, CellKind, Library, Netlist};
 use halotis::sim::{
     power, ActivityCounter, BatchRunner, CompiledCircuit, PowerAccumulator, Scenario,
-    SimulationConfig, SimulationResult,
+    SimulationConfig, SimulationResult, WaveformRecorder,
 };
 use halotis::waveform::Stimulus;
 use proptest::prelude::*;
@@ -266,12 +266,12 @@ fn custom_model_is_path_independent_and_distinct() {
     stimulus.drive_bus_value(&ports.b_refs(), 0x7, Time::from_ns(1.0));
 
     let custom = SimulationConfig::default().model(DelayModelHandle::new(WideRamps));
-    let single = circuit.run(&stimulus, &custom).unwrap();
+    let mut state = circuit.new_state();
+    let single = circuit.run_with(&mut state, &stimulus, &custom).unwrap();
     assert_eq!(single.model_kind(), None);
     assert_eq!(single.model_label(), "DDM-wide-ramps");
 
     // Reused (dirtied) arena.
-    let mut state = circuit.new_state();
     circuit
         .run_with(&mut state, &stimulus, &SimulationConfig::cdm())
         .unwrap();
@@ -282,19 +282,24 @@ fn custom_model_is_path_independent_and_distinct() {
     let scenarios: Vec<Scenario> = (0..6)
         .map(|i| Scenario::new(format!("s{i}"), stimulus.clone(), custom.clone()))
         .collect();
-    let report = BatchRunner::with_threads(3).run(&circuit, &scenarios);
+    let report = BatchRunner::with_threads(3)
+        .run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
     assert_eq!(report.failed(), 0);
-    for outcome in report.outcomes() {
-        assert_identical(
-            &format!("custom model batch {}", outcome.label),
-            &single,
-            outcome.result.as_ref().unwrap(),
+    for outcome in report.into_outcomes() {
+        let context = format!("custom model batch {}", outcome.label);
+        assert_eq!(Ok(single.stats()), outcome.stats.as_ref(), "{context}");
+        assert_eq!(
+            single.waveforms(),
+            &outcome.observer.into_trace(&netlist),
+            "{context}"
         );
     }
 
     // And it really is a *different* model than plain DDM: the widened
     // ramps must show up in at least one net's waveform.
-    let ddm = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+    let ddm = circuit
+        .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
+        .unwrap();
     let diverges = ddm
         .waveforms()
         .iter()
@@ -314,15 +319,13 @@ fn table1_workload_observer_stats_match_recorded_stats() {
 
     let scenarios: Vec<Scenario> =
         Scenario::both_models("table1", stimulus, SimulationConfig::default()).into();
-    let recorded = BatchRunner::new().run(&circuit, &scenarios);
+    let recorded =
+        BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
     let observed = BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| ());
 
     assert_eq!(recorded.totals(), observed.totals());
     for (a, b) in recorded.outcomes().iter().zip(observed.outcomes()) {
         assert_eq!(a.label, b.label);
-        assert_eq!(
-            a.result.as_ref().unwrap().stats(),
-            b.stats.as_ref().unwrap()
-        );
+        assert_eq!(a.stats.as_ref().unwrap(), b.stats.as_ref().unwrap());
     }
 }

@@ -4,11 +4,13 @@
 //! netlist, stimulus and configuration, the three ways of running a
 //! simulation must produce bit-identical waveforms and statistics —
 //!
-//! 1. the single-shot path (`Simulator::run`, compiling per invocation),
+//! 1. the single-shot path (a fresh compile and a fresh state arena per
+//!    run),
 //! 2. the compiled path with a **reused** state arena
 //!    (`CompiledCircuit::run_with`, the arena deliberately dirtied by an
 //!    unrelated run first, so an incomplete `reset()` would be caught),
-//! 3. the parallel batch path (`BatchRunner::run`).
+//! 3. the parallel batch path (`BatchRunner::run_observed` with a
+//!    `WaveformRecorder` per scenario).
 //!
 //! The properties drive randomized circuits from every generator family the
 //! repository uses — inverter chains, the ISCAS c17 benchmark, the Fig. 1
@@ -18,7 +20,7 @@
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::netlist::{generators, technology, Library, Netlist};
 use halotis::sim::{
-    BatchRunner, CompiledCircuit, Scenario, SimulationConfig, SimulationResult, Simulator,
+    BatchRunner, CompiledCircuit, Scenario, SimulationConfig, SimulationResult, WaveformRecorder,
 };
 use halotis::waveform::Stimulus;
 use proptest::prelude::*;
@@ -53,16 +55,18 @@ fn assert_identical(context: &str, reference: &SimulationResult, candidate: &Sim
 /// Runs `stimulus` through the single-shot, reused-arena and batch paths
 /// under both delay models and cross-checks all of them.
 fn check_all_paths(context: &str, netlist: &Netlist, library: &Library, stimulus: &Stimulus) {
-    let simulator = Simulator::new(netlist, library);
     let circuit = CompiledCircuit::compile(netlist, library).expect("circuit compiles");
     let mut state = circuit.new_state();
 
     let mut scenarios = Vec::new();
     let mut references = Vec::new();
     for config in [SimulationConfig::ddm(), SimulationConfig::cdm()] {
-        let single_shot = simulator
-            .run(stimulus, &config)
-            .expect("single-shot run succeeds");
+        let single_shot = {
+            let fresh = CompiledCircuit::compile(netlist, library).expect("circuit compiles");
+            fresh
+                .run_with(&mut fresh.new_state(), stimulus, &config)
+                .expect("single-shot run succeeds")
+        };
 
         // Dirty the arena with the *other* model first so a stale-state bug
         // cannot hide behind identical consecutive runs.
@@ -92,13 +96,20 @@ fn check_all_paths(context: &str, netlist: &Netlist, library: &Library, stimulus
         references.push(single_shot);
     }
 
-    let report = BatchRunner::with_threads(4).run(&circuit, &scenarios);
+    let report = BatchRunner::with_threads(4)
+        .run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
     assert_eq!(report.failed(), 0, "{context}: batch scenarios failed");
-    for (reference, outcome) in references.iter().zip(report.outcomes()) {
-        assert_identical(
-            &format!("{context} [batch {}]", outcome.label),
-            reference,
-            outcome.result.as_ref().expect("batch run succeeds"),
+    for (reference, outcome) in references.iter().zip(report.into_outcomes()) {
+        let context = format!("{context} [batch {}]", outcome.label);
+        assert_eq!(
+            Ok(reference.stats()),
+            outcome.stats.as_ref(),
+            "{context}: statistics diverge"
+        );
+        assert_eq!(
+            reference.waveforms(),
+            &outcome.observer.into_trace(netlist),
+            "{context}: waveforms diverge"
         );
     }
 }

@@ -16,6 +16,7 @@ use halotis::core::{LogicLevel, NetId, Time, TimeDelta};
 use halotis::netlist::{generators, technology, CellKind, Library, Netlist};
 use halotis::sim::{
     BatchRunner, CompiledCircuit, Scenario, SimulationConfig, SimulationError, SimulationResult,
+    WaveformRecorder,
 };
 use halotis::waveform::Stimulus;
 use proptest::prelude::*;
@@ -221,13 +222,20 @@ fn check_incremental_matches_fresh(
     }
 
     // The patched circuit must also serve the parallel batch path.
-    let report = BatchRunner::with_threads(2).run(&circuit, &scenarios);
+    let report = BatchRunner::with_threads(2)
+        .run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
     assert_eq!(report.failed(), 0, "{context}: batch scenarios failed");
-    for (reference, outcome) in references.iter().zip(report.outcomes()) {
-        assert_identical(
-            &format!("{context} [batch {}]", outcome.label),
-            reference,
-            outcome.result.as_ref().expect("batch run succeeds"),
+    for (reference, outcome) in references.iter().zip(report.into_outcomes()) {
+        let context = format!("{context} [batch {}]", outcome.label);
+        assert_eq!(
+            Ok(reference.stats()),
+            outcome.stats.as_ref(),
+            "{context}: statistics diverge"
+        );
+        assert_eq!(
+            reference.waveforms(),
+            &outcome.observer.into_trace(circuit.netlist()),
+            "{context}: waveforms diverge"
         );
     }
 }
@@ -354,7 +362,9 @@ fn hole_reuse_matches_fresh_compile() {
     let mutated = circuit.netlist().clone();
     let fresh = CompiledCircuit::compile(&mutated, &library).unwrap();
     let stimulus = random_stimulus(&mutated, &library, 0b01011, 250.0);
-    let reference = fresh.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+    let reference = fresh
+        .run_with(&mut fresh.new_state(), &stimulus, &SimulationConfig::ddm())
+        .unwrap();
     let mut state = circuit.new_state();
     let incremental = circuit
         .run_with(&mut state, &stimulus, &SimulationConfig::ddm())

@@ -2,7 +2,7 @@
 
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::netlist::{eval, generators, technology};
-use halotis::sim::{classical, SimulationConfig, Simulator};
+use halotis::sim::{classical, CompiledCircuit, SimulationConfig};
 use halotis::waveform::Stimulus;
 use proptest::prelude::*;
 
@@ -58,8 +58,10 @@ proptest! {
         let netlist = generators::random_logic(6, gates, seed);
         let library = technology::cmos06();
         let stimulus = staggered_stimulus(&netlist, &[2.0, 9.0], 40.0);
-        let simulator = Simulator::new(&netlist, &library);
-        let result = simulator.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let result = circuit
+            .run_with(&mut circuit.new_state(), &stimulus, &SimulationConfig::ddm())
+            .unwrap();
         let expected = eval::evaluate(&netlist, &final_assignment(&netlist, &stimulus));
         for &output in netlist.primary_outputs() {
             let name = netlist.net(output).name();
@@ -81,12 +83,12 @@ proptest! {
         let netlist = generators::random_logic(5, gates, seed);
         let library = technology::cmos06();
         let stimulus = staggered_stimulus(&netlist, &[2.0, 2.0 + pulse_ns], 30.0);
-        let simulator = Simulator::new(&netlist, &library);
-        let (ddm, cdm) = simulator
-            .run_both_models(&stimulus, &SimulationConfig::default())
-            .unwrap();
-        prop_assert!(ddm.stats().events_scheduled <= cdm.stats().events_scheduled);
-        prop_assert!(ddm.stats().events_processed <= cdm.stats().events_processed);
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let ddm = circuit.run_stats(&mut state, &stimulus, &SimulationConfig::ddm()).unwrap();
+        let cdm = circuit.run_stats(&mut state, &stimulus, &SimulationConfig::cdm()).unwrap();
+        prop_assert!(ddm.events_scheduled <= cdm.events_scheduled);
+        prop_assert!(ddm.events_processed <= cdm.events_processed);
     }
 
     #[test]
@@ -97,8 +99,9 @@ proptest! {
         let netlist = generators::random_logic(4, gates, seed);
         let library = technology::cmos06();
         let stimulus = staggered_stimulus(&netlist, &[3.0], 60.0);
-        let halotis = Simulator::new(&netlist, &library)
-            .run(&stimulus, &SimulationConfig::cdm())
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let halotis = circuit
+            .run_with(&mut circuit.new_state(), &stimulus, &SimulationConfig::cdm())
             .unwrap();
         let baseline = classical::run(&netlist, &library, &stimulus, &SimulationConfig::cdm())
             .unwrap();
@@ -123,8 +126,10 @@ fn event_counts_scale_with_circuit_depth_not_explode() {
         let mut stimulus = Stimulus::new(library.default_input_slew());
         stimulus.set_initial("in", LogicLevel::Low);
         stimulus.drive("in", Time::from_ns(1.0), LogicLevel::High);
-        let result = Simulator::new(&netlist, &library)
-            .run(&stimulus, &SimulationConfig::ddm())
+        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let mut state = circuit.new_state();
+        let result = circuit
+            .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
             .unwrap();
         assert_eq!(result.stats().events_processed, stages);
         assert_eq!(result.stats().events_filtered, 0);

@@ -7,7 +7,8 @@ use halotis::experiments::{
     multiplier_fixture, multiplier_stimulus, MultiplierFixture, SEQUENCE_FIG6, SEQUENCE_FIG7,
 };
 use halotis::netlist::eval;
-use halotis::sim::{classical, SimulationConfig, Simulator};
+use halotis::sim::{classical, CompiledCircuit, SimulationConfig, SimulationResult};
+use halotis::waveform::Stimulus;
 
 fn final_product(fixture: &MultiplierFixture, level_of: impl Fn(&str) -> LogicLevel) -> u64 {
     let mut product = 0u64;
@@ -19,6 +20,18 @@ fn final_product(fixture: &MultiplierFixture, level_of: impl Fn(&str) -> LogicLe
     product
 }
 
+/// Runs `stimulus` under DDM then CDM on one compiled circuit and arena.
+fn both_models(
+    fixture: &MultiplierFixture,
+    stimulus: &Stimulus,
+) -> (SimulationResult, SimulationResult) {
+    let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+    let mut state = circuit.new_state();
+    let ddm = circuit.run_with(&mut state, stimulus, &SimulationConfig::ddm());
+    let cdm = circuit.run_with(&mut state, stimulus, &SimulationConfig::cdm());
+    (ddm.unwrap(), cdm.unwrap())
+}
+
 #[test]
 fn all_engines_settle_to_the_functional_product() {
     let fixture = multiplier_fixture();
@@ -26,10 +39,7 @@ fn all_engines_settle_to_the_functional_product() {
     let stimulus = multiplier_stimulus(&fixture.ports, &pairs);
     let expected = pairs.last().unwrap().0 * pairs.last().unwrap().1;
 
-    let simulator = Simulator::new(&fixture.netlist, &fixture.library);
-    let (ddm, cdm) = simulator
-        .run_both_models(&stimulus, &SimulationConfig::default())
-        .unwrap();
+    let (ddm, cdm) = both_models(&fixture, &stimulus);
     assert_eq!(
         final_product(&fixture, |n| ddm.ideal_waveform(n).unwrap().final_level()),
         expected
@@ -101,12 +111,9 @@ fn all_engines_settle_to_the_functional_product() {
 #[test]
 fn cdm_overestimates_activity_on_both_paper_sequences() {
     let fixture = multiplier_fixture();
-    let simulator = Simulator::new(&fixture.netlist, &fixture.library);
     for pairs in [SEQUENCE_FIG6, SEQUENCE_FIG7] {
         let stimulus = multiplier_stimulus(&fixture.ports, pairs);
-        let (ddm, cdm) = simulator
-            .run_both_models(&stimulus, &SimulationConfig::default())
-            .unwrap();
+        let (ddm, cdm) = both_models(&fixture, &stimulus);
         assert!(ddm.stats().events_scheduled < cdm.stats().events_scheduled);
         assert!(ddm.stats().events_filtered > 0);
         assert!(ddm.output_edge_count() <= cdm.output_edge_count());
@@ -127,10 +134,7 @@ fn ddm_tracks_the_analog_reference_better_than_cdm() {
     use halotis::waveform::compare::compare_traces;
     let fixture = multiplier_fixture();
     let stimulus = multiplier_stimulus(&fixture.ports, SEQUENCE_FIG6);
-    let simulator = Simulator::new(&fixture.netlist, &fixture.library);
-    let (ddm, cdm) = simulator
-        .run_both_models(&stimulus, &SimulationConfig::default())
-        .unwrap();
+    let (ddm, cdm) = both_models(&fixture, &stimulus);
     let analog = AnalogSimulator::new(&fixture.netlist, &fixture.library)
         .run(
             &stimulus,
@@ -156,9 +160,17 @@ fn ddm_tracks_the_analog_reference_better_than_cdm() {
 fn simulation_is_deterministic() {
     let fixture = multiplier_fixture();
     let stimulus = multiplier_stimulus(&fixture.ports, SEQUENCE_FIG7);
-    let simulator = Simulator::new(&fixture.netlist, &fixture.library);
-    let first = simulator.run(&stimulus, &SimulationConfig::ddm()).unwrap();
-    let second = simulator.run(&stimulus, &SimulationConfig::ddm()).unwrap();
+    let run = || {
+        let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+        circuit
+            .run_with(
+                &mut circuit.new_state(),
+                &stimulus,
+                &SimulationConfig::ddm(),
+            )
+            .unwrap()
+    };
+    let (first, second) = (run(), run());
     assert_eq!(first.stats(), second.stats());
     for name in first.output_names() {
         assert_eq!(

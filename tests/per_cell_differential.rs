@@ -94,20 +94,19 @@ fn check_circuit(context: &str, netlist: &Netlist) {
             Scenario::new("plain", stimulus.clone(), plain_config),
             Scenario::new("composite", stimulus.clone(), composite_config),
         ];
-        let report = BatchRunner::with_threads(2).run(&circuit, &scenarios);
+        let report = BatchRunner::with_threads(2).run_observed(&circuit, &scenarios, |_, _| ());
         let outcomes = report.outcomes();
-        let batch_plain = outcomes[0].result.as_ref().expect("batch plain succeeds");
+        let batch_plain = outcomes[0].stats.as_ref().expect("batch plain succeeds");
         let batch_composite = outcomes[1]
-            .result
+            .stats
             .as_ref()
             .expect("batch composite succeeds");
         assert_eq!(
-            batch_plain.stats(),
-            batch_composite.stats(),
+            batch_plain, batch_composite,
             "{context}/{kind:?}: batch statistics diverge"
         );
         assert_eq!(
-            batch_plain.stats(),
+            batch_plain,
             plain.stats(),
             "{context}/{kind:?}: batch diverges from single-shot"
         );

@@ -279,8 +279,9 @@ fn corpus_circuit_schedules_match_heap_reference() {
         let circuit = CompiledCircuit::compile(&entry.netlist, &library).expect("corpus compiles");
         let scenarios = entry.scenarios(&library);
         let scenario = scenarios.first().expect("every corpus entry has scenarios");
+        let mut state = circuit.new_state();
         let result = circuit
-            .run(&scenario.stimulus, &scenario.config)
+            .run_with(&mut state, &scenario.stimulus, &scenario.config)
             .expect("corpus scenario runs");
 
         let mut schedule: Vec<(i64, usize, usize)> = Vec::new();

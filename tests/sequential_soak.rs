@@ -14,7 +14,7 @@
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::corpus::{mixed_model, StimulusSuite};
 use halotis::netlist::{iscas, technology};
-use halotis::sim::{BatchRunner, CompiledCircuit, Scenario, SimulationConfig};
+use halotis::sim::{BatchRunner, CompiledCircuit, Scenario, SimulationConfig, WaveformRecorder};
 use proptest::prelude::*;
 
 /// The moment just before rising edge `cycle`: inputs from the previous
@@ -122,14 +122,16 @@ fn soak_entries_are_bit_identical_across_thread_counts() {
                     Scenario::new("a", stimulus.clone(), config.clone()),
                     Scenario::new("b", stimulus.clone(), config.clone()),
                 ];
-                let report = BatchRunner::with_threads(2).run(&circuit, &scenarios);
-                for outcome in report.outcomes() {
-                    let batch = outcome.result.as_ref().expect("batch run succeeds");
+                let report =
+                    BatchRunner::with_threads(2)
+                        .run_observed(&circuit, &scenarios, |_, _| WaveformRecorder::new());
+                for outcome in report.into_outcomes() {
+                    let stats = outcome.stats.expect("batch run succeeds");
                     let context = format!("{}/{stimulus_label}/{label}", entry.name);
-                    assert_eq!(single.stats(), batch.stats(), "{context}: stats diverge");
+                    assert_eq!(single.stats(), &stats, "{context}: stats diverge");
                     assert_eq!(
                         single.waveforms(),
-                        batch.waveforms(),
+                        &outcome.observer.into_trace(&entry.netlist),
                         "{context}: waveforms diverge"
                     );
                 }

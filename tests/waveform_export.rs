@@ -4,7 +4,7 @@
 use halotis::core::{LogicLevel, Time};
 use halotis::experiments::{multiplier_fixture, multiplier_stimulus, SEQUENCE_FIG6};
 use halotis::netlist::{generators, parser, technology, writer};
-use halotis::sim::{SimulationConfig, Simulator};
+use halotis::sim::{CompiledCircuit, SimulationConfig};
 use halotis::waveform::ascii::{render_trace, AsciiOptions};
 use halotis::waveform::vcd;
 
@@ -35,8 +35,10 @@ fn generated_multiplier_round_trips_through_the_text_format() {
         stimulus.drive_bus_value(&fixture_ports.b_refs(), 0xE, Time::from_ns(1.0));
         stimulus
     };
-    let result = Simulator::new(&reparsed, &library)
-        .run(&stimulus, &SimulationConfig::ddm())
+    let circuit = CompiledCircuit::compile(&reparsed, &library).unwrap();
+    let mut state = circuit.new_state();
+    let result = circuit
+        .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
         .unwrap();
     let mut product = 0u64;
     for (bit, name) in fixture_ports.s.iter().enumerate() {
@@ -51,8 +53,10 @@ fn generated_multiplier_round_trips_through_the_text_format() {
 fn simulation_results_export_to_vcd() {
     let fixture = multiplier_fixture();
     let stimulus = multiplier_stimulus(&fixture.ports, SEQUENCE_FIG6);
-    let result = Simulator::new(&fixture.netlist, &fixture.library)
-        .run(&stimulus, &SimulationConfig::ddm())
+    let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+    let mut state = circuit.new_state();
+    let result = circuit
+        .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
         .unwrap();
     let text = vcd::to_string("mult4x4", &result.output_trace());
     assert!(text.contains("$timescale 1 fs $end"));
@@ -75,8 +79,10 @@ fn simulation_results_export_to_vcd() {
 fn ascii_rendering_covers_the_paper_window() {
     let fixture = multiplier_fixture();
     let stimulus = multiplier_stimulus(&fixture.ports, SEQUENCE_FIG6);
-    let result = Simulator::new(&fixture.netlist, &fixture.library)
-        .run(&stimulus, &SimulationConfig::ddm())
+    let circuit = CompiledCircuit::compile(&fixture.netlist, &fixture.library).unwrap();
+    let mut state = circuit.new_state();
+    let result = circuit
+        .run_with(&mut state, &stimulus, &SimulationConfig::ddm())
         .unwrap();
     let options = AsciiOptions::new(Time::ZERO, Time::from_ns(25.0), 100);
     let text = render_trace(&result.output_trace(), &options);
