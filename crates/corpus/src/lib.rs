@@ -23,7 +23,10 @@
 //!   all three model columns, with zero waveform retention,
 //! * [`stats`] — [`CorpusStats`]: the canonical JSON document
 //!   (`CORPUS_stats.json`) whose non-timing fields are bit-exact
-//!   reproducible — the contract of the `corpus-golden` CI gate.
+//!   reproducible — the contract of the `corpus-golden` CI gate,
+//! * [`golden`] — [`golden::check`]: the one comparison against that
+//!   document, explaining a mismatch field by field,
+//! * [`json`] — the workspace's one JSON reader and writer.
 //!
 //! # Example
 //!
@@ -48,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod entry;
+pub mod golden;
 pub mod json;
 pub mod observer;
 pub mod runner;

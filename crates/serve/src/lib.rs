@@ -7,7 +7,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`frame`] | 4-byte length-prefixed framing, with timeout/size defence |
-//! | [`json`] | dependency-free JSON reader/writer (floats round-trip bitwise) |
+//! | [`json`] | re-export of `halotis_corpus::json`, the dependency-free JSON reader/writer |
 //! | [`protocol`] | request/response grammar + every structured error code |
 //! | [`cache`] | fingerprint-keyed LRU circuit cache with what-if edit overlays |
 //! | [`scheduler`] | fixed worker pool, one reusable [`SimState`] arena per worker |
@@ -36,7 +36,7 @@
 pub mod cache;
 pub mod client;
 pub mod frame;
-pub mod json;
+pub use halotis_corpus::json;
 pub mod loadgen;
 pub mod protocol;
 pub mod scheduler;

@@ -7,16 +7,17 @@
 //! ingests it unchanged and `scripts/bench_gate.py` can gate the committed
 //! `BENCH_serve.json` baseline.
 //!
-//! [`check_against_golden`] is the deterministic-replay mode: responses are
-//! compared field-by-field (floats bitwise) against `CORPUS_stats.json`,
-//! proving the daemon's numbers are the in-process corpus runner's numbers.
+//! [`check_entries_against_golden`] is the deterministic-replay mode:
+//! responses are compared field by field (floats bitwise) against
+//! `CORPUS_stats.json` through [`golden::diff`], proving the daemon's
+//! numbers are the in-process corpus runner's numbers.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use halotis_corpus::{standard_corpus, CorpusEntry};
+use halotis_corpus::{golden, standard_corpus, CorpusEntry};
 use halotis_netlist::writer;
 
 use crate::client::{load_request, simulate_request, Client, Response};
@@ -257,33 +258,45 @@ pub fn render_report(summary: &LoadSummary) -> String {
     out
 }
 
-fn expect_u64(doc: &Value, key: &str, label: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{label}: missing numeric field {key:?}"))
-}
+/// The fields a wire scenario row and its golden row both carry: the
+/// seven engine counters, the glitch count and the energy.
+const GOLDEN_FIELDS: [&str; 9] = [
+    "events_scheduled",
+    "events_filtered",
+    "events_processed",
+    "output_transitions",
+    "degraded_transitions",
+    "collapsed_transitions",
+    "queue_high_water",
+    "glitch_pulses",
+    "energy_joules",
+];
 
-fn expect_f64(doc: &Value, key: &str, label: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("{label}: missing float field {key:?}"))
+/// `row` cut down to [`GOLDEN_FIELDS`], failing if it lacks one of them.
+fn project(row: &Value, label: &str, side: &str) -> Result<Value, String> {
+    GOLDEN_FIELDS
+        .iter()
+        .map(|&name| {
+            row.get(name)
+                .map(|value| (name.to_string(), value.clone()))
+                .ok_or_else(|| format!("{label}.{name}: missing from the {side} row"))
+        })
+        .collect::<Result<_, _>>()
+        .map(Value::Object)
 }
 
 /// Replays the corpus through the daemon and compares every scenario's
-/// counters — and its energy, **bitwise** — against the committed
-/// `CORPUS_stats.json` document.  Returns the number of scenarios checked.
+/// seven engine counters, glitch count and energy (**bitwise**) against
+/// the committed `CORPUS_stats.json` document with [`golden::diff`].
+/// `entries` restricts the replay to those corpus entries (`None` = all of
+/// them): the debug-mode integration test replays a representative slice,
+/// CI's release-mode serve job everything.  Returns the number of
+/// scenarios checked.
 ///
 /// Run this against a 1-worker daemon: the comparison itself needs no
 /// ordering, but a single worker also proves the arena-reuse path (one
-/// [`SimState`](halotis_sim::SimState) hopping across all 22 circuits)
+/// [`SimState`](halotis_sim::SimState) hopping across all 24 circuits)
 /// reproduces fresh-arena numbers.
-pub fn check_against_golden(target: &Target, golden_json: &str) -> Result<usize, String> {
-    check_entries_against_golden(target, golden_json, None)
-}
-
-/// [`check_against_golden`] restricted to a subset of corpus entries
-/// (`None` = all of them).  The debug-mode integration test replays a
-/// representative slice; CI's release-mode serve job replays everything.
 pub fn check_entries_against_golden(
     target: &Target,
     golden_json: &str,
@@ -344,28 +357,15 @@ pub fn check_entries_against_golden(
                 let golden_row = expected
                     .get(&label)
                     .ok_or_else(|| format!("{label}: not present in the golden stats"))?;
-                for field in [
-                    "events_scheduled",
-                    "events_filtered",
-                    "events_processed",
-                    "output_transitions",
-                    "degraded_transitions",
-                    "collapsed_transitions",
-                    "glitch_pulses",
-                ] {
-                    let got = expect_u64(row, field, &label)?;
-                    let want = expect_u64(golden_row, field, &label)?;
-                    if got != want {
-                        return Err(format!(
-                            "{label}: {field} diverged: daemon {got}, golden {want}"
-                        ));
-                    }
-                }
-                let got = expect_f64(row, "energy_joules", &label)?;
-                let want = expect_f64(golden_row, "energy_joules", &label)?;
-                if got.to_bits() != want.to_bits() {
+                let diffs = golden::diff(
+                    &label,
+                    &project(golden_row, &label, "golden")?,
+                    &project(row, &label, "daemon")?,
+                );
+                if !diffs.is_empty() {
                     return Err(format!(
-                        "{label}: energy_joules diverged bitwise: daemon {got:e}, golden {want:e}"
+                        "daemon diverged from the golden: {}",
+                        diffs.join("; ")
                     ));
                 }
                 checked += 1;

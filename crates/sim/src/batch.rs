@@ -88,28 +88,25 @@ pub struct ObservedOutcome<O> {
     pub observer: O,
 }
 
-/// Everything a batch run produces: per-scenario outcomes in submission
-/// order plus aggregate statistics.
-#[derive(Clone, Debug)]
-pub struct BatchSummary<T> {
-    outcomes: Vec<T>,
+/// The report of an observed batch run ([`BatchRunner::run_observed`]):
+/// per-scenario outcomes in submission order plus aggregate statistics.
+#[derive(Debug)]
+pub struct ObservedReport<O> {
+    outcomes: Vec<ObservedOutcome<O>>,
     totals: SimulationStats,
     succeeded: usize,
     wall_time: Duration,
     threads: usize,
 }
 
-/// The report of an observed batch run ([`BatchRunner::run_observed`]).
-pub type ObservedReport<O> = BatchSummary<ObservedOutcome<O>>;
-
-impl<T> BatchSummary<T> {
+impl<O> ObservedReport<O> {
     /// Per-scenario outcomes, in the order the scenarios were submitted.
-    pub fn outcomes(&self) -> &[T] {
+    pub fn outcomes(&self) -> &[ObservedOutcome<O>] {
         &self.outcomes
     }
 
     /// Consumes the report, yielding the outcomes in submission order.
-    pub fn into_outcomes(self) -> Vec<T> {
+    pub fn into_outcomes(self) -> Vec<ObservedOutcome<O>> {
         self.outcomes
     }
 
@@ -147,9 +144,7 @@ impl<T> BatchSummary<T> {
     pub fn threads(&self) -> usize {
         self.threads
     }
-}
 
-impl<O> BatchSummary<ObservedOutcome<O>> {
     /// The observers of the successful scenarios, in submission order.
     pub fn observers(&self) -> impl Iterator<Item = &O> {
         self.outcomes
@@ -332,7 +327,7 @@ impl BatchRunner {
             totals.merge(stats);
             succeeded += 1;
         }
-        BatchSummary {
+        ObservedReport {
             outcomes,
             totals,
             succeeded,

@@ -93,7 +93,7 @@ pub mod state;
 pub mod stats;
 pub mod wheel;
 
-pub use batch::{BatchRunner, BatchSummary, ObservedOutcome, ObservedReport, Scenario};
+pub use batch::{BatchRunner, ObservedOutcome, ObservedReport, Scenario};
 pub use compiled::CompiledCircuit;
 pub use config::SimulationConfig;
 pub use error::SimulationError;

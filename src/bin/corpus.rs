@@ -20,9 +20,9 @@
 //! * `--deterministic` — strip wall-clock fields so the output is bit-exact
 //!   reproducible (the mode the committed golden uses),
 //! * `--list` — print the corpus entries and scenario counts, run nothing,
-//! * `--check GOLDEN` — run deterministically and compare the rendered JSON
-//!   against `GOLDEN`, exiting non-zero on any mismatch (the Rust-only
-//!   variant of `scripts/corpus_diff.py`),
+//! * `--check GOLDEN` — run, strip timing and compare against `GOLDEN`
+//!   with [`golden::check`]: exit non-zero unless the rendering is
+//!   byte-identical, printing every differing field by path,
 //! * `--power-report N` — print the `N` most energetic nets of the whole
 //!   corpus run (energy summed per net across every scenario; ordering is
 //!   deterministic, ties break on entry and net names),
@@ -39,7 +39,7 @@ use std::env;
 use std::fs;
 use std::process::ExitCode;
 
-use halotis::corpus::{standard_corpus, CorpusRunner};
+use halotis::corpus::{golden, standard_corpus, CorpusRunner};
 use halotis::netlist::{parser, technology, verilog, writer, Netlist};
 use halotis::sim::{sta, CompiledCircuit};
 
@@ -306,7 +306,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let deterministic = options.deterministic || options.check.is_some();
     let runner = CorpusRunner::new()
         .with_threads(options.threads)
         .with_repeats(options.repeats());
@@ -368,11 +367,6 @@ fn main() -> ExitCode {
     }
 
     let mut stats = report.stats;
-    if deterministic {
-        stats.strip_timing();
-    }
-    let json = stats.to_json();
-
     if let Some(golden_path) = &options.check {
         let golden = match fs::read_to_string(golden_path) {
             Ok(golden) => golden,
@@ -381,32 +375,23 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if golden == json {
-            println!(
-                "corpus golden OK: {} scenarios match {golden_path} bit-exactly",
-                stats.scenario_count()
-            );
-            return ExitCode::SUCCESS;
-        }
-        for (index, (fresh_line, golden_line)) in json.lines().zip(golden.lines()).enumerate() {
-            if fresh_line != golden_line {
-                eprintln!(
-                    "corpus golden MISMATCH at line {}:\n  golden: {golden_line}\n  fresh:  {fresh_line}",
-                    index + 1
-                );
-                break;
+        let scenarios = stats.scenario_count();
+        return match golden::check(&golden, stats) {
+            Ok(()) => {
+                println!("corpus golden OK: {scenarios} scenarios match {golden_path} bit-exactly");
+                ExitCode::SUCCESS
             }
-        }
-        if json.lines().count() != golden.lines().count() {
-            eprintln!(
-                "corpus golden MISMATCH: {} fresh lines vs {} golden lines",
-                json.lines().count(),
-                golden.lines().count()
-            );
-        }
-        eprintln!("regenerate with: halotis-corpus --deterministic --out {golden_path}");
-        return ExitCode::FAILURE;
+            Err(mismatch) => {
+                eprintln!("corpus golden MISMATCH against {golden_path}:\n{mismatch}");
+                eprintln!("regenerate with: halotis-corpus --deterministic --out {golden_path}");
+                ExitCode::FAILURE
+            }
+        };
     }
+    if options.deterministic {
+        stats.strip_timing();
+    }
+    let json = stats.to_json();
 
     // Stats land on disk only when the caller asked for them by path; a
     // timing-only invocation must never touch the committed golden.
@@ -423,7 +408,11 @@ fn main() -> ExitCode {
             totals.events_processed,
             stats.total_glitches(),
             stats.total_energy_joules(),
-            if deterministic { ", deterministic" } else { "" }
+            if options.deterministic {
+                ", deterministic"
+            } else {
+                ""
+            }
         );
     } else if options.timing.is_none() && options.power_report.is_none() {
         eprintln!(

@@ -14,12 +14,13 @@
 //!   `serve/simulate/p99`, `serve/request_period`, …),
 //! * `--check-stats GOLDEN` — deterministic-replay mode: replay the corpus
 //!   once over one connection and compare every scenario against the
-//!   committed `CORPUS_stats.json` (counters exactly, floats bitwise);
-//!   exits non-zero on the first divergence,
+//!   committed `CORPUS_stats.json` through `halotis_corpus::golden::diff`
+//!   (counters exactly, floats bitwise); exits non-zero on the first
+//!   diverging scenario, naming every differing field,
 //! * `--shutdown` — send a `shutdown` request after the run, draining the
 //!   daemon (used by `scripts/serve_bench.sh`).
 //!
-//! Every run replays the full 22-entry standard corpus — each entry loaded
+//! Every run replays the full 24-entry standard corpus — each entry loaded
 //! by fingerprint, then simulated under the DDM, CDM and MIX model columns.
 
 use std::env;
@@ -118,7 +119,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match loadgen::check_against_golden(&options.target, &golden) {
+        match loadgen::check_entries_against_golden(&options.target, &golden, None) {
             Ok(checked) => {
                 println!("serve replay OK: {checked} scenarios match {golden_path} exactly");
             }

@@ -195,6 +195,24 @@ fn one_worker_daemon_replays_the_committed_golden_stats() {
         "only {checked} scenarios checked"
     );
 
+    // The replay also gates `queue_high_water`: bump it in one SLICE
+    // scenario of a copy of the golden and the error names label and field.
+    let label = "c17/exh/mix";
+    let at = golden
+        .find(&format!("\"label\": \"{label}\""))
+        .expect("c17 MIX scenario in the golden");
+    let field = "\"queue_high_water\": ";
+    let start = at + golden[at..].find(field).unwrap() + field.len();
+    let end = start + golden[start..].find(',').unwrap();
+    let bumped: u64 = golden[start..end].parse::<u64>().unwrap() + 1;
+    let tampered = format!("{}{bumped}{}", &golden[..start], &golden[end..]);
+    let error = check_entries_against_golden(&target, &tampered, Some(&SLICE))
+        .expect_err("a bumped queue_high_water must fail the replay");
+    assert!(
+        error.contains(&format!("{label}.queue_high_water: golden {bumped}")),
+        "error does not name the field: {error}"
+    );
+
     handle.initiate_shutdown();
     handle.wait();
 }

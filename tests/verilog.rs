@@ -4,7 +4,7 @@
 //! way `circuits/*.net` pins the native writer: any formatting change —
 //! identifier chunking, attribute spelling, port ordering — shows up as a
 //! diff against `tests/golden/` instead of silently rewording every export.
-//! On top of the byte pins, the whole 22-entry corpus and a proptest sweep
+//! On top of the byte pins, the whole 24-entry corpus and a proptest sweep
 //! of `random_logic` circuits prove the round trip
 //! `parse_verilog(to_verilog(n)) == n` is the identity, and a cross-format
 //! fingerprint test shows a netlist that travelled `.net` → Verilog → parse
