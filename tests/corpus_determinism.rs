@@ -105,29 +105,47 @@ proptest! {
     }
 }
 
-/// The committed golden matches what this tree computes at 1 and at 4
-/// worker threads — the [`golden::check`] the `corpus-golden` CI job runs
-/// through `halotis-corpus --check`, kept in-tree so `cargo test` alone
-/// catches a stale golden and names every drifted field.  Two independent
-/// runs matching one document also pins run-to-run and thread-count
-/// determinism on the exact workload behind the golden.
+/// The standard corpus itself — the exact workload behind the committed
+/// golden — reproduces bit-identically across runs and thread counts.
+#[test]
+fn standard_corpus_document_is_bit_identical_across_runs_and_threads() {
+    let corpus = standard_corpus();
+    let mut one = CorpusRunner::new()
+        .with_threads(1)
+        .run(&corpus)
+        .unwrap()
+        .stats;
+    let mut again = CorpusRunner::new()
+        .with_threads(1)
+        .run(&corpus)
+        .unwrap()
+        .stats;
+    let mut four = CorpusRunner::new()
+        .with_threads(4)
+        .run(&corpus)
+        .unwrap()
+        .stats;
+    one.strip_timing();
+    again.strip_timing();
+    four.strip_timing();
+    assert_eq!(one.to_json(), again.to_json());
+    assert_eq!(one.to_json(), four.to_json());
+}
+
+/// The committed golden matches what this tree computes — the
+/// [`golden::check`] the `corpus-golden` CI job runs through
+/// `halotis-corpus --check`, kept in-tree so `cargo test` alone catches a
+/// stale golden and names every drifted field.
 #[test]
 fn committed_golden_matches_a_fresh_run() {
     let golden = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/CORPUS_stats.json"))
         .expect("committed CORPUS_stats.json exists");
-    let corpus = standard_corpus();
-    for threads in [1, 4] {
-        let stats = CorpusRunner::new()
-            .with_threads(threads)
-            .run(&corpus)
-            .unwrap()
-            .stats;
-        if let Err(mismatch) = golden::check(&golden, stats) {
-            panic!(
-                "CORPUS_stats.json does not match a {threads}-thread run:\n{mismatch}\n\
-                 regenerate with `cargo run --release --bin halotis-corpus -- \
-                 --deterministic --out CORPUS_stats.json`"
-            );
-        }
+    let stats = CorpusRunner::new().run(&standard_corpus()).unwrap().stats;
+    if let Err(mismatch) = golden::check(&golden, stats) {
+        panic!(
+            "CORPUS_stats.json does not match a fresh run:\n{mismatch}\n\
+             regenerate with `cargo run --release --bin halotis-corpus -- \
+             --deterministic --out CORPUS_stats.json`"
+        );
     }
 }
