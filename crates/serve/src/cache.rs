@@ -4,9 +4,21 @@
 //! repository's writer, and fingerprints the canonical form — so two
 //! textual variations of the same circuit share one cache slot and one
 //! compilation.  Entries hold a **pristine** [`CompiledCircuit`] plus an
-//! optional **overlay**: a clone carrying outstanding `edit` scripts, with
-//! an inverse [`EditScript`] stack ([`halotis_netlist::EditLog::invert`]) so `revert` can
-//! walk edits back one at a time without recompiling.
+//! optional **overlay**: a clone of it that `edit` requests mutate in
+//! place, with an inverse [`EditScript`] stack
+//! ([`halotis_netlist::EditLog::invert`]) so `revert` can walk edits back
+//! one at a time without recompiling.
+//!
+//! The overlay is cloned once per key, on its first `edit`, and kept when
+//! `revert` unwinds it to depth 0: later edits reuse it, so an edit costs
+//! the incremental recompile alone, never a copy of the circuit.  Reads at
+//! depth 0 still run on the pristine tables.  The price is one extra
+//! compiled copy resident per edited key until the entry is evicted.  An
+//! edit is atomic all the same: the overlay records the forward command
+//! scripts of its outstanding edits, and when a script fails (or panics)
+//! part-way, the overlay is rebuilt from a fresh pristine clone plus a
+//! replay of those scripts before the error is answered — only the error
+//! path pays the clone.
 //!
 //! Eviction is LRU over a monotone touch tick, bounded by a fixed capacity.
 //! Evicting an entry that is mid-simulation is safe: requests hold an
@@ -14,11 +26,12 @@
 //! (its key simply stops resolving).
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use halotis_netlist::{
-    parser, technology, verilog, writer, EditScript, Library, Netlist, NetlistError,
+    parser, technology, verilog, writer, EditLog, EditScript, Library, Netlist, NetlistError,
 };
 use halotis_sim::CompiledCircuit;
 
@@ -46,16 +59,41 @@ fn fingerprint(library_name: &str, canonical: &str) -> u64 {
     hash
 }
 
-/// Outstanding what-if edits on top of a pristine circuit.
+/// The long-lived what-if copy of a pristine circuit.
 #[derive(Debug)]
-pub struct Overlay {
-    /// The edited circuit (a clone of the pristine one, mutated in place).
-    pub circuit: CompiledCircuit<'static>,
-    /// Inverse scripts, one per outstanding `edit`, newest last.
-    pub revert_stack: Vec<EditScript>,
+struct Overlay {
+    /// A clone of the pristine circuit, edited in place.  With no edits
+    /// outstanding it is a spare, equivalent to pristine.
+    circuit: CompiledCircuit<'static>,
+    /// Forward command scripts of the outstanding edits, oldest first: what
+    /// a rebuild replays on a fresh pristine clone.
+    scripts: Vec<Vec<EditCommand>>,
+    /// Inverse scripts, one per outstanding edit, newest last.
+    revert_stack: Vec<EditScript>,
     /// Set when some edit lost invertibility (a renumbering removal); the
     /// only revert left is a full reset to pristine.
-    pub non_invertible: bool,
+    non_invertible: bool,
+}
+
+impl Overlay {
+    fn clone_of(pristine: &CompiledCircuit<'static>) -> Self {
+        Overlay {
+            circuit: pristine.clone(),
+            scripts: Vec::new(),
+            revert_stack: Vec::new(),
+            non_invertible: false,
+        }
+    }
+
+    /// Replaces a circuit a failed script left half-edited with a fresh
+    /// pristine clone carrying the outstanding edits again.  `false` when a
+    /// script that applied before fails on replay.
+    fn rebuild(&mut self, pristine: &CompiledCircuit<'static>) -> bool {
+        self.circuit = pristine.clone();
+        self.scripts
+            .iter()
+            .all(|script| run_script(&mut self.circuit, script).is_ok())
+    }
 }
 
 /// The mutable half of a cache entry, behind the entry's [`RwLock`].
@@ -63,130 +101,136 @@ pub struct Overlay {
 pub struct CircuitState {
     /// The as-loaded compilation; never mutated after insert.
     pub pristine: CompiledCircuit<'static>,
-    /// Outstanding edits, if any.
-    pub overlay: Option<Overlay>,
+    /// The edited copy, once this key has seen an `edit`.
+    overlay: Option<Overlay>,
 }
 
 impl CircuitState {
+    fn new(pristine: CompiledCircuit<'static>) -> Self {
+        CircuitState {
+            pristine,
+            overlay: None,
+        }
+    }
+
     /// The circuit requests should run against: the overlay when edits are
     /// outstanding, the pristine compilation otherwise.
     pub fn active(&self) -> &CompiledCircuit<'static> {
-        self.overlay
-            .as_ref()
-            .map_or(&self.pristine, |overlay| &overlay.circuit)
+        match &self.overlay {
+            Some(overlay) if !overlay.scripts.is_empty() => &overlay.circuit,
+            _ => &self.pristine,
+        }
     }
 
-    /// Applies one edit request atomically: the commands run against a
-    /// *clone* of the active circuit, which replaces the overlay only when
-    /// every command succeeded.  On any failure the clone is discarded and
-    /// the state is untouched (the engine treats a half-edited circuit as
-    /// stale, so partial application is never acceptable here).
+    /// The `revert_depth` the last `edit` or `revert` answered: outstanding
+    /// edits that can still be reverted one at a time.  It is 0 at pristine,
+    /// and also after an edit lost invertibility, where one `revert` resets
+    /// every outstanding edit.
+    pub fn revert_depth(&self) -> usize {
+        self.overlay
+            .as_ref()
+            .map_or(0, |overlay| overlay.revert_stack.len())
+    }
+
+    /// Applies one edit request atomically, in place on the overlay (cloned
+    /// from pristine on the key's first edit).  When a command fails, or the
+    /// script panics, the overlay is rebuilt before the error is returned,
+    /// so a failed request leaves the state exactly as it found it (the
+    /// engine treats a half-edited circuit as stale, so partial application
+    /// is never acceptable here).
     pub fn apply_commands(
         &mut self,
         commands: &[EditCommand],
     ) -> Result<EditReport, ProtocolError> {
-        let mut circuit = self.active().clone();
-        let mut failure: Option<ProtocolError> = None;
-        let result = circuit.edit(|session| {
-            for command in commands {
-                if let Some(error) = apply_command(session, command) {
-                    return match error {
-                        CommandError::Netlist(err) => Err(err),
-                        CommandError::Protocol(err) => {
-                            failure = Some(err);
-                            // Sentinel to abort the session; the clone is
-                            // discarded below, so it never escapes.
-                            Err(NetlistError::DuplicateNet {
-                                name: String::new(),
-                            })
-                        }
-                    };
-                }
-            }
-            Ok(())
+        let pristine = &self.pristine;
+        let overlay = self
+            .overlay
+            .get_or_insert_with(|| Overlay::clone_of(pristine));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_script(&mut overlay.circuit, commands)
+        }))
+        .unwrap_or_else(|_| {
+            Err(ProtocolError::new(
+                ErrorCode::InternalError,
+                "the edit panicked; nothing was applied",
+            ))
         });
-        let log = match result {
+        let log = match outcome {
             Ok(log) => log,
-            Err(err) => {
-                return Err(failure.unwrap_or_else(|| {
-                    ProtocolError::new(ErrorCode::NetlistError, err.to_string())
-                }))
+            Err(mut error) => {
+                if !overlay.rebuild(pristine) {
+                    // Cannot happen for scripts that applied before; should
+                    // it, pristine is the one state known to be sound.
+                    self.overlay = None;
+                    error
+                        .message
+                        .push_str("; the outstanding edits could not be replayed and were reset");
+                }
+                return Err(error);
             }
         };
 
-        let (mut revert_stack, was_non_invertible) = match self.overlay.take() {
-            Some(overlay) => (overlay.revert_stack, overlay.non_invertible),
-            None => (Vec::new(), false),
-        };
-        let non_invertible = was_non_invertible || !log.is_invertible();
-        if non_invertible {
+        overlay.scripts.push(commands.to_vec());
+        overlay.non_invertible |= !log.is_invertible();
+        if overlay.non_invertible {
             // Stepwise history is no longer replayable; only a reset remains.
-            revert_stack.clear();
+            overlay.revert_stack.clear();
         } else {
-            revert_stack.push(log.invert().expect("invertible log must invert"));
+            overlay
+                .revert_stack
+                .push(log.invert().expect("invertible log must invert"));
         }
-        let report = EditReport {
+        Ok(EditReport {
             edits: log.edits(),
-            revert_depth: revert_stack.len(),
-            invertible: !non_invertible,
-        };
-        self.overlay = Some(Overlay {
-            circuit,
-            revert_stack,
-            non_invertible,
-        });
-        Ok(report)
+            revert_depth: overlay.revert_stack.len(),
+            invertible: !overlay.non_invertible,
+        })
     }
 
     /// Undoes the most recent outstanding edit.  Returns how the revert was
-    /// performed: `"inverse"` (one script replayed backwards) or `"reset"`
-    /// (overlay dropped wholesale, because invertibility was lost).
+    /// performed: `"inverse"` (one script replayed backwards, in place) or
+    /// `"reset"` (overlay dropped wholesale, because invertibility was
+    /// lost).  Unwinding to depth 0 keeps the overlay as a spare for the
+    /// next edit, while reads return to the pristine tables.
     pub fn revert(&mut self) -> Result<RevertReport, ProtocolError> {
-        let Some(mut overlay) = self.overlay.take() else {
+        let Some(overlay) = self
+            .overlay
+            .as_mut()
+            .filter(|overlay| !overlay.scripts.is_empty())
+        else {
             return Err(ProtocolError::new(
                 ErrorCode::NothingToRevert,
                 "no edits are outstanding on this circuit",
             ));
         };
+        let reset = RevertReport {
+            via: "reset",
+            revert_depth: 0,
+        };
         if overlay.non_invertible {
             // Dropping the overlay *is* the revert: the pristine circuit
             // becomes active again.
-            return Ok(RevertReport {
-                via: "reset",
-                revert_depth: 0,
-            });
+            self.overlay = None;
+            return Ok(reset);
         }
+        overlay.scripts.pop();
         let script = overlay
             .revert_stack
             .pop()
             .expect("invertible overlay keeps one script per edit");
-        if overlay
-            .circuit
-            .edit(|session| script.apply(session))
-            .is_err()
-        {
+        let replayed = catch_unwind(AssertUnwindSafe(|| {
+            overlay.circuit.edit(|session| script.apply(session))
+        }));
+        if !matches!(replayed, Ok(Ok(_))) {
             // An inverse script failing means the overlay is corrupt; fall
             // back to the reset path rather than serving a stale circuit.
-            return Ok(RevertReport {
-                via: "reset",
-                revert_depth: 0,
-            });
+            self.overlay = None;
+            return Ok(reset);
         }
-        let revert_depth = overlay.revert_stack.len();
-        if revert_depth > 0 {
-            self.overlay = Some(overlay);
-            Ok(RevertReport {
-                via: "inverse",
-                revert_depth,
-            })
-        } else {
-            // Fully unwound: drop the overlay so the pristine tables (not a
-            // behaviourally-identical edited clone) serve future requests.
-            Ok(RevertReport {
-                via: "inverse",
-                revert_depth: 0,
-            })
-        }
+        Ok(RevertReport {
+            via: "inverse",
+            revert_depth: overlay.revert_stack.len(),
+        })
     }
 }
 
@@ -236,6 +280,38 @@ fn resolve_net(netlist: &Netlist, name: &str) -> Result<halotis_core::NetId, Com
             format!("no net named {name:?}"),
         ))
     })
+}
+
+/// Runs one request's commands in a single edit session on `circuit`.  On
+/// error the circuit is stale (see [`CompiledCircuit::edit`]) and must be
+/// rebuilt by the caller.
+fn run_script(
+    circuit: &mut CompiledCircuit<'static>,
+    commands: &[EditCommand],
+) -> Result<EditLog, ProtocolError> {
+    let mut failure: Option<ProtocolError> = None;
+    circuit
+        .edit(|session| {
+            for command in commands {
+                if let Some(error) = apply_command(session, command) {
+                    return match error {
+                        CommandError::Netlist(err) => Err(err),
+                        CommandError::Protocol(err) => {
+                            failure = Some(err);
+                            // Sentinel to abort the session; the caller
+                            // rebuilds the circuit, so it never escapes.
+                            Err(NetlistError::DuplicateNet {
+                                name: String::new(),
+                            })
+                        }
+                    };
+                }
+            }
+            Ok(())
+        })
+        .map_err(|err| {
+            failure.unwrap_or_else(|| ProtocolError::new(ErrorCode::NetlistError, err.to_string()))
+        })
 }
 
 /// Applies one command inside an open session; `None` means success.
@@ -430,10 +506,7 @@ impl CircuitCache {
             key: key.clone(),
             circuit_name: report.circuit.clone(),
             last_used: AtomicU64::new(0),
-            state: RwLock::new(CircuitState {
-                pristine,
-                overlay: None,
-            }),
+            state: RwLock::new(CircuitState::new(pristine)),
         });
         self.touch(&entry);
         self.compiles.fetch_add(1, Ordering::Relaxed);
@@ -476,7 +549,10 @@ impl CircuitCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halotis_core::TimeDelta;
+    use halotis_corpus::StimulusSuite;
     use halotis_netlist::{generators, CellKind};
+    use halotis_sim::{SimulationConfig, SimulationStats};
 
     fn c17_text() -> String {
         writer::to_text(&generators::c17())
@@ -560,10 +636,13 @@ mod tests {
             state.pristine.netlist().gates()[0].kind()
         );
 
+        assert_eq!(state.revert_depth(), 1);
+
         let revert = state.revert().unwrap();
         assert_eq!(revert.via, "inverse");
         assert_eq!(revert.revert_depth, 0);
-        assert!(state.overlay.is_none());
+        assert_eq!(state.revert_depth(), 0);
+        assert!(std::ptr::eq(state.active(), &state.pristine));
         assert!(matches!(
             state.revert(),
             Err(ProtocolError {
@@ -592,7 +671,187 @@ mod tests {
             ])
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::UnknownGate);
-        // The first (valid) command must not have leaked through.
-        assert!(state.overlay.is_none());
+        // The first (valid) command must not have leaked through: reads run
+        // on pristine, and the overlay kept for the next edit is unedited.
+        assert_eq!(state.revert_depth(), 0);
+        assert!(std::ptr::eq(state.active(), &state.pristine));
+        let spare = &state.overlay.as_ref().expect("overlay kept").circuit;
+        assert_eq!(
+            spare.netlist().gates()[0].kind(),
+            state.pristine.netlist().gates()[0].kind()
+        );
+    }
+
+    /// Every counter of a few seeded random vectors under DDM.
+    fn digest(circuit: &CompiledCircuit<'_>) -> Vec<SimulationStats> {
+        let suite = StimulusSuite::RandomVectors {
+            vectors: 4,
+            period: TimeDelta::from_ns(5.0),
+            seed: 11,
+        };
+        let mut state = circuit.new_state();
+        suite
+            .stimuli(circuit.netlist(), library())
+            .iter()
+            .map(|(_, stimulus)| {
+                circuit
+                    .run_stats(&mut state, stimulus, &SimulationConfig::default())
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn swap(gate: &str, kind: CellKind) -> EditCommand {
+        EditCommand::SwapKind {
+            gate: gate.to_string(),
+            kind,
+        }
+    }
+
+    /// Edits to depth 1, runs `failing` (which must fail with `code`), and
+    /// checks that the depth-1 circuit survived it intact, still reverts
+    /// through its inverse script, and that the rebuilt overlay serves the
+    /// next edit (`failing`'s first command) like a fresh compile.
+    fn assert_failed_edit_keeps_depth_one(
+        pristine: CompiledCircuit<'static>,
+        valid: EditCommand,
+        failing: &[EditCommand],
+        code: ErrorCode,
+    ) {
+        let mut state = CircuitState::new(pristine);
+        let pristine = digest(&state.pristine);
+        state.apply_commands(&[valid]).unwrap();
+        let depth_one = digest(state.active());
+        assert_ne!(depth_one, pristine, "the valid edit must show");
+
+        assert_eq!(state.apply_commands(failing).unwrap_err().code, code);
+        assert_eq!(state.revert_depth(), 1);
+        assert_eq!(digest(state.active()), depth_one);
+
+        assert_eq!(state.revert().unwrap().via, "inverse");
+        assert!(std::ptr::eq(state.active(), &state.pristine));
+        state.apply_commands(&failing[..1]).unwrap();
+        let fresh =
+            CompiledCircuit::compile(state.active().netlist(), state.pristine.library()).unwrap();
+        assert_eq!(digest(state.active()), digest(&fresh));
+    }
+
+    fn c17_gate(index: usize) -> String {
+        generators::c17().gates()[index].name().to_string()
+    }
+
+    #[test]
+    fn a_failing_command_at_depth_one_leaves_the_overlay_as_it_was() {
+        assert_failed_edit_keeps_depth_one(
+            CompiledCircuit::compile_owned(generators::c17(), library()).unwrap(),
+            swap(&c17_gate(0), CellKind::Nor2),
+            &[
+                swap(&c17_gate(1), CellKind::Xor2),
+                swap("ghost", CellKind::Nor2),
+            ],
+            ErrorCode::UnknownGate,
+        );
+    }
+
+    #[test]
+    fn a_failing_incremental_recompile_leaves_the_overlay_as_it_was() {
+        // A library without XOR2: the session accepts the swap, and the
+        // incremental recompile then fails on the uncharacterised cell,
+        // after it has patched part of the tables.
+        let full = library();
+        let mut partial = Library::new(full.name(), full.vdd());
+        partial.set_default_input_slew(full.default_input_slew());
+        partial.set_wire_capacitance(full.wire_capacitance());
+        for kind in full.kinds().filter(|&kind| kind != CellKind::Xor2) {
+            partial.insert(kind, full.cell(kind).unwrap().clone());
+        }
+        let partial: &'static Library = Box::leak(Box::new(partial));
+        assert_failed_edit_keeps_depth_one(
+            CompiledCircuit::compile_owned(generators::c17(), partial).unwrap(),
+            swap(&c17_gate(0), CellKind::Nor2),
+            &[
+                swap(&c17_gate(2), CellKind::And2),
+                swap(&c17_gate(1), CellKind::Xor2),
+            ],
+            ErrorCode::NetlistError,
+        );
+    }
+
+    #[test]
+    fn a_register_swap_that_closes_a_loop_fails_cleanly() {
+        // dff5 sits on the loop g10 → dff5 → g5 → nor11 → g11 → nor10 → g10;
+        // as an AND2 it closes it combinationally.  Release builds reject
+        // that in the incremental re-levelization, debug builds panic in the
+        // edit session's invariant sweep first.
+        let s27 = CompiledCircuit::compile_owned(halotis_netlist::iscas::s27(), library());
+        let code = if cfg!(debug_assertions) {
+            ErrorCode::InternalError
+        } else {
+            ErrorCode::NetlistError
+        };
+        assert_failed_edit_keeps_depth_one(
+            s27.unwrap(),
+            swap("nor12", CellKind::Nand2),
+            &[swap("nor13", CellKind::Xor2), swap("dff5", CellKind::And2)],
+            code,
+        );
+    }
+
+    #[test]
+    fn edit_revert_cycles_reuse_one_overlay() {
+        let c432 = halotis_netlist::iscas::c432();
+        let two_input = c432
+            .gates()
+            .iter()
+            .find(|gate| gate.inputs().len() == 2 && gate.kind() != CellKind::Nor2)
+            .unwrap()
+            .name()
+            .to_string();
+        let last = c432.gates().last().unwrap().name().to_string();
+        let input = c432.net(c432.primary_inputs()[0]).name().to_string();
+        let commands = [
+            swap(&two_input, CellKind::Nor2),
+            EditCommand::Rewire {
+                gate: last,
+                input: 0,
+                net: input.clone(),
+            },
+            EditCommand::Insert {
+                kind: CellKind::Inv,
+                name: "probe_g".to_string(),
+                inputs: vec![input],
+                output: "probe_n".to_string(),
+            },
+        ];
+        let mut state = CircuitState::new(CompiledCircuit::compile_owned(c432, library()).unwrap());
+        let pristine = digest(&state.pristine);
+        let sizes = |state: &CircuitState| {
+            let arena = state.active().new_state();
+            (arena.pin_count(), arena.gate_count(), arena.net_count())
+        };
+        let mut first = None;
+        for cycle in 1..=200 {
+            let report = state.apply_commands(&commands).unwrap();
+            assert_eq!((report.edits, report.revert_depth), (3, 1));
+            let tables = state.active().netlist().gates().as_ptr();
+            let edited = digest(state.active());
+            if cycle == 1 || cycle == 200 {
+                let fresh = CompiledCircuit::compile(state.active().netlist(), library()).unwrap();
+                assert_eq!(edited, digest(&fresh), "cycle {cycle}");
+            }
+            let (first_tables, first_sizes, first_edited) =
+                first.get_or_insert_with(|| (tables, sizes(&state), edited.clone()));
+            // The same overlay allocation is edited every cycle, never a
+            // fresh clone.
+            assert_eq!(tables, *first_tables, "cycle {cycle}");
+            assert_eq!(sizes(&state), *first_sizes, "cycle {cycle}");
+            assert_eq!(edited, *first_edited, "cycle {cycle}");
+
+            assert_eq!(state.revert().unwrap().via, "inverse");
+            assert!(std::ptr::eq(state.active(), &state.pristine));
+            if cycle == 1 || cycle == 200 {
+                assert_eq!(digest(state.active()), pristine);
+            }
+        }
     }
 }

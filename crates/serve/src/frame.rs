@@ -4,15 +4,19 @@
 //! big-endian length followed by that many bytes of UTF-8 JSON.  Framing is
 //! where most of the daemon's robustness lives: the length is validated
 //! against a configurable ceiling *before* any allocation, truncated frames
-//! are distinguished from clean closes, and read timeouts (slow-loris
-//! defence) surface as their own error variant so the server can answer with
-//! a structured `timeout` error before hanging up.
+//! are distinguished from clean closes, and read timeouts surface as their
+//! own error variants — [`FrameError::Idle`] before a frame starts,
+//! [`FrameError::TimedOut`] mid-frame (slow-loris defence) — so the server
+//! can tell a waiting client from a stalled one.
 
 use std::io::{Read, Write};
 
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
+    /// The socket read timeout expired before the first byte of a frame:
+    /// the peer sent nothing, and may just be waiting for a reply.
+    Idle,
     /// The peer closed the connection mid-frame (after the prefix, or
     /// partway through either the prefix or the body).
     Truncated,
@@ -24,7 +28,8 @@ pub enum FrameError {
         /// The ceiling it exceeded.
         max: usize,
     },
-    /// The socket read timeout expired mid-frame.
+    /// The socket read timeout expired mid-frame (after at least one byte
+    /// of it arrived).
     TimedOut,
     /// Any other transport failure.
     Io(std::io::Error),
@@ -33,6 +38,7 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FrameError::Idle => write!(f, "timed out waiting for a frame to start"),
             FrameError::Truncated => write!(f, "connection closed mid-frame"),
             FrameError::TooLarge { announced, max } => {
                 write!(f, "frame of {announced} bytes exceeds the {max}-byte limit")
@@ -59,7 +65,13 @@ impl From<std::io::Error> for FrameError {
 /// boundary); EOF anywhere else is [`FrameError::Truncated`].
 pub fn read_frame(reader: &mut impl Read, max_len: usize) -> Result<Option<Vec<u8>>, FrameError> {
     let mut prefix = [0u8; 4];
-    match reader.read(&mut prefix[..])? {
+    let first = reader
+        .read(&mut prefix[..])
+        .map_err(|err| match err.into() {
+            FrameError::TimedOut => FrameError::Idle,
+            other => other,
+        });
+    match first? {
         0 => return Ok(None),
         mut got => {
             while got < 4 {
@@ -134,6 +146,37 @@ mod tests {
         assert!(matches!(
             read_frame(&mut cursor, 64),
             Err(FrameError::Truncated)
+        ));
+    }
+
+    /// Yields its bytes, then fails every read as a socket read timeout
+    /// does.
+    struct Stalls(Cursor<Vec<u8>>);
+
+    impl Read for Stalls {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(std::io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_before_any_byte_is_idle_and_after_one_is_mid_frame() {
+        let mut silent = Stalls(Cursor::new(Vec::new()));
+        assert!(matches!(read_frame(&mut silent, 64), Err(FrameError::Idle)));
+
+        let mut stalled_prefix = Stalls(Cursor::new(vec![0u8, 0]));
+        assert!(matches!(
+            read_frame(&mut stalled_prefix, 64),
+            Err(FrameError::TimedOut)
+        ));
+
+        let mut stalled_body = Stalls(Cursor::new(vec![0u8, 0, 0, 8, b'{']));
+        assert!(matches!(
+            read_frame(&mut stalled_body, 64),
+            Err(FrameError::TimedOut)
         ));
     }
 

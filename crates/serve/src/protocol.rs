@@ -40,7 +40,8 @@ pub enum ErrorCode {
     Busy,
     /// The connection exceeded its in-flight request quota.
     Quota,
-    /// The socket read timeout expired mid-frame (slow-loris defence).
+    /// The socket read timeout expired: mid-frame (slow-loris defence), or
+    /// on an idle connection with no simulation in flight.
     Timeout,
     /// A netlist operation (parse or edit) was rejected.
     NetlistError,
@@ -50,6 +51,9 @@ pub enum ErrorCode {
     ShuttingDown,
     /// A revert was requested but no edits are outstanding.
     NothingToRevert,
+    /// The daemon caught a panic while serving the request; the request
+    /// had no effect and the daemon keeps serving.
+    InternalError,
 }
 
 impl ErrorCode {
@@ -71,6 +75,7 @@ impl ErrorCode {
             ErrorCode::SimError => "sim_error",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::NothingToRevert => "nothing_to_revert",
+            ErrorCode::InternalError => "internal_error",
         }
     }
 }

@@ -7,7 +7,12 @@
 //! when it is full, [`Scheduler::try_submit`] reports [`SubmitError::Busy`]
 //! *immediately* — overload surfaces to the client as explicit
 //! backpressure, never as unbounded queueing.
+//!
+//! A panicking job never costs the pool a worker: the worker catches the
+//! unwind, drops its arena (a half-run job may have left it in any state)
+//! and takes the next job.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -33,6 +38,12 @@ impl WorkerArena {
             }
             slot @ None => slot.insert(circuit.new_state()),
         }
+    }
+
+    /// Drops the arena after a job panicked while holding it; the next
+    /// [`adopt`](Self::adopt) allocates a fresh one.
+    pub(crate) fn reset(&mut self) {
+        self.state = None;
     }
 }
 
@@ -91,7 +102,7 @@ impl Scheduler {
         })
     }
 
-    /// Jobs completed since startup.
+    /// Jobs run since startup (a job that panicked counts too).
     pub fn executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
     }
@@ -131,7 +142,11 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
         };
         match job {
             Ok(job) => {
-                job(&mut arena);
+                // Jobs catch their own panics to answer their client; this
+                // is the last resort that keeps the worker alive regardless.
+                if catch_unwind(AssertUnwindSafe(|| job(&mut arena))).is_err() {
+                    arena.reset();
+                }
                 executed.fetch_add(1, Ordering::Relaxed);
             }
             // Sender dropped and the queue is drained: shut down.
@@ -144,6 +159,7 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
+    use std::time::Duration;
 
     #[test]
     fn executes_jobs_and_reports_busy_when_saturated() {
@@ -193,6 +209,21 @@ mod tests {
         // All accepted jobs ran (drained on shutdown).
         assert!(scheduler.executed() >= 2);
         let _ = done_rx;
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_cost_the_pool_its_worker() {
+        let scheduler = Scheduler::new(1, 4);
+        scheduler
+            .try_submit(Box::new(|_| panic!("job panics on purpose")))
+            .unwrap();
+        let (done_tx, done_rx) = channel();
+        scheduler
+            .try_submit(Box::new(move |_| done_tx.send(7).unwrap()))
+            .unwrap();
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        scheduler.shutdown();
+        assert_eq!(scheduler.executed(), 2);
     }
 
     #[test]

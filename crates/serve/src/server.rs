@@ -10,8 +10,11 @@
 //! Robustness invariants enforced here:
 //!
 //! * every failure path answers with a structured error frame (when the
-//!   transport still permits one) and the daemon survives;
-//! * per-connection read timeouts bound slow-loris clients;
+//!   transport still permits one) and the daemon survives — a panic in an
+//!   edit or a simulation included, which answers `internal_error`;
+//! * suite lengths are capped before any stimulus is expanded;
+//! * per-connection read timeouts bound slow-loris clients, and close idle
+//!   connections that have no simulation in flight;
 //! * a per-connection in-flight quota plus the scheduler's bounded queue
 //!   turn overload into explicit `quota` / `busy` errors, never unbounded
 //!   queueing;
@@ -21,6 +24,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -337,6 +341,17 @@ where
                     break;
                 }
             }
+            // A client waiting for a simulate reply is not idle.
+            Err(FrameError::Idle) if inflight.load(Ordering::SeqCst) > 0 => {}
+            Err(FrameError::Idle) => {
+                shared.count_error();
+                let error = ProtocolError::new(
+                    ErrorCode::Timeout,
+                    "connection idle past the read timeout; closing connection",
+                );
+                let _ = reply_tx.send(render_error(None, &error));
+                break;
+            }
             Err(FrameError::TimedOut) => {
                 shared.count_error();
                 let error = ProtocolError::new(
@@ -568,7 +583,17 @@ fn submit_simulate(
     let reply_for_job = reply.clone();
     let job = Box::new(move |arena: &mut crate::scheduler::WorkerArena| {
         let _guard = guard;
-        let outcome = run_simulate(&shared_for_job, arena, &entry, &suite, model, observers);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_simulate(&shared_for_job, arena, &entry, &suite, model, observers)
+        }))
+        .unwrap_or_else(|_| {
+            // The run may have left the arena half-written.
+            arena.reset();
+            Err(ProtocolError::new(
+                ErrorCode::InternalError,
+                "the simulation panicked; the worker is still serving",
+            ))
+        });
         send_result(&shared_for_job, &reply_for_job, id, outcome);
     });
     match shared.scheduler.try_submit(job) {
@@ -593,7 +618,24 @@ fn submit_simulate(
     }
 }
 
+/// The most vectors, probes or cycles one simulate suite may ask for —
+/// far above the corpus's largest suite (2500 cycles), far below a length
+/// whose stimulus expansion could exhaust memory.
+const MAX_SUITE_LENGTH: usize = 65_536;
+
 fn validate_suite(entry: &CacheEntry, suite: &StimulusSuite) -> Option<ProtocolError> {
+    let length = match suite {
+        StimulusSuite::RandomVectors { vectors, .. } => Some(("vectors", *vectors)),
+        StimulusSuite::ToggleProbes { max_probes, .. } => Some(("max_probes", *max_probes)),
+        StimulusSuite::Clocked { cycles, .. } => Some(("cycles", *cycles)),
+        StimulusSuite::Exhaustive { .. } => None,
+    };
+    if let Some((field, length)) = length.filter(|&(_, length)| length > MAX_SUITE_LENGTH) {
+        return Some(ProtocolError::new(
+            ErrorCode::BadRequest,
+            format!("suite field {field:?} is {length}, above the limit of {MAX_SUITE_LENGTH}"),
+        ));
+    }
     let state = entry.read_state();
     let inputs = state.active().netlist().primary_inputs().len();
     if inputs == 0 || inputs > 64 {

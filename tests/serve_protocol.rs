@@ -513,3 +513,228 @@ fn cyclic_netlists_are_refused_with_a_structured_error() {
     drop(client);
     stop(handle);
 }
+
+fn key_of(load: &Response) -> String {
+    load.ok()
+        .and_then(|ok| ok.get("key"))
+        .and_then(Value::as_str)
+        .expect("load answered a key")
+        .to_string()
+}
+
+fn edit_request(id: u64, key: &str, commands: &str) -> String {
+    format!(r#"{{"op":"edit","id":{id},"key":"{key}","commands":[{commands}]}}"#)
+}
+
+/// Edits `key` to depth 1 with `valid`, sends `failing` (which must answer
+/// `code`), and checks that the next simulate still answers the depth-1
+/// circuit bit for bit and that revert still replays the inverse script.
+fn assert_failed_edit_keeps_depth_one(
+    client: &mut Client,
+    key: &str,
+    suite: &StimulusSuite,
+    valid: &str,
+    failing: &str,
+    code: &str,
+) {
+    let pristine = scenario_payload(
+        &client
+            .call(&simulate_request(10, key, suite, "ddm"))
+            .unwrap(),
+    );
+    let response = client.call(&edit_request(11, key, valid)).unwrap();
+    let ok = response.ok().expect("valid edit succeeded");
+    assert_eq!(ok.get("revert_depth").and_then(Value::as_u64), Some(1));
+    let depth_one = scenario_payload(
+        &client
+            .call(&simulate_request(12, key, suite, "ddm"))
+            .unwrap(),
+    );
+    assert_ne!(depth_one, pristine, "the valid edit must show");
+
+    let response = client.call(&edit_request(13, key, failing)).unwrap();
+    assert_eq!(response.error_code(), Some(code));
+    let after_failure = scenario_payload(
+        &client
+            .call(&simulate_request(14, key, suite, "ddm"))
+            .unwrap(),
+    );
+    assert_eq!(after_failure, depth_one);
+
+    let response = client.call(&revert_request(15, key)).unwrap();
+    let ok = response.ok().expect("revert succeeded");
+    assert_eq!(ok.get("via").and_then(Value::as_str), Some("inverse"));
+    assert_eq!(ok.get("revert_depth").and_then(Value::as_u64), Some(0));
+    let restored = scenario_payload(
+        &client
+            .call(&simulate_request(16, key, suite, "ddm"))
+            .unwrap(),
+    );
+    assert_eq!(restored, pristine);
+}
+
+#[test]
+fn a_failed_edit_on_an_edited_circuit_leaves_the_edit_in_place() {
+    let (handle, addr) = start_daemon(test_config());
+    let mut client = connect(&addr);
+
+    // A command-level failure: a valid swap, then an unknown gate.
+    let key = key_of(&client.call(&load_request(1, &c17_text())).unwrap());
+    let gates: Vec<String> = generators::c17()
+        .gates()
+        .iter()
+        .map(|gate| gate.name().to_string())
+        .collect();
+    assert_failed_edit_keeps_depth_one(
+        &mut client,
+        &key,
+        &exhaustive(),
+        &format!(
+            r#"{{"action":"swap_kind","gate":"{}","kind":"nor2"}}"#,
+            gates[0]
+        ),
+        &format!(
+            r#"{{"action":"swap_kind","gate":"{}","kind":"xor2"}},{{"action":"swap_kind","gate":"ghost","kind":"nor2"}}"#,
+            gates[1]
+        ),
+        "unknown_gate",
+    );
+
+    // A failure past the edit session: turning register dff5 of s27 into
+    // an AND2 closes a combinational loop, which the incremental recompile
+    // rejects (release) or the session's debug invariant sweep panics on.
+    let s27 = writer::to_text(&halotis::netlist::iscas::s27());
+    let key = key_of(&client.call(&load_request(2, &s27)).unwrap());
+    let clocked = StimulusSuite::Clocked {
+        cycles: 16,
+        period: TimeDelta::from_ns(4.0),
+        high: TimeDelta::from_ns(2.0),
+        skew: TimeDelta::from_ps(500.0),
+        seed: 0x27,
+    };
+    assert_failed_edit_keeps_depth_one(
+        &mut client,
+        &key,
+        &clocked,
+        r#"{"action":"swap_kind","gate":"nor12","kind":"nand2"}"#,
+        r#"{"action":"swap_kind","gate":"nor13","kind":"xor2"},{"action":"swap_kind","gate":"dff5","kind":"and2"}"#,
+        if cfg!(debug_assertions) {
+            "internal_error"
+        } else {
+            "netlist_error"
+        },
+    );
+
+    // The daemon is whole: the connection still serves.
+    assert!(client.call(&stats_request(20)).unwrap().ok().is_some());
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+fn oversized_suites_are_refused_before_expansion() {
+    let (handle, addr) = start_daemon(test_config());
+    let mut client = connect(&addr);
+    let key = key_of(&client.call(&load_request(1, &c17_text())).unwrap());
+    // At 8 bytes a vector, this suite alone would ask for ~8·10^15 bytes.
+    for (id, suite) in [
+        r#"{"kind":"random","vectors":1000000000000000,"period_fs":5000000,"seed":1}"#,
+        r#"{"kind":"toggle","seed":1,"max_probes":65537,"pulse_fs":100000}"#,
+        r#"{"kind":"clocked","cycles":65537,"period_fs":4000000,"high_fs":2000000,"skew_fs":500000,"seed":1}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let response = client
+            .call(&format!(
+                r#"{{"op":"simulate","id":{id},"key":"{key}","model":"ddm","suite":{suite}}}"#
+            ))
+            .unwrap();
+        assert_eq!(response.error_code(), Some("bad_request"), "{suite}");
+    }
+    let response = client
+        .call(&simulate_request(9, &key, &exhaustive(), "ddm"))
+        .unwrap();
+    assert!(response.ok().is_some(), "a normal simulate still succeeds");
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+fn an_idle_connection_is_told_it_was_idle() {
+    let (handle, addr) = start_daemon(ServerConfig {
+        read_timeout: Duration::from_millis(150),
+        ..test_config()
+    });
+    let mut client = connect(&addr);
+    let response = client.recv().unwrap().unwrap();
+    assert_eq!(response.error_code(), Some("timeout"));
+    let message = response.error_message().unwrap_or_default();
+    assert!(message.contains("idle"), "{message}");
+    assert!(matches!(client.recv(), Ok(None) | Err(_)));
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+fn a_simulation_outlasting_the_read_timeout_is_still_answered() {
+    let (handle, addr) = start_daemon(ServerConfig {
+        read_timeout: Duration::from_millis(50),
+        workers: 1,
+        ..test_config()
+    });
+    let mut client = connect(&addr);
+    let c432 = writer::to_text(&halotis::netlist::iscas::c432());
+    let key = key_of(&client.call(&load_request(1, &c432)).unwrap());
+    // Unoptimised, this run takes several read timeouts (~0.4 s on a
+    // 2-vCPU x86-64 host), all of them with nothing on the wire.
+    let long = StimulusSuite::RandomVectors {
+        vectors: 2000,
+        period: TimeDelta::from_ns(5.0),
+        seed: 3,
+    };
+    let response = client
+        .call(&simulate_request(2, &key, &long, "ddm"))
+        .unwrap();
+    assert!(response.ok().is_some(), "{:?}", response.error_code());
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+fn a_panicking_simulation_answers_internal_error_and_keeps_its_worker() {
+    // `period_fs × cycles` past i64 femtoseconds overflows in stimulus
+    // expansion, which panics in a debug build: a panic reachable from the
+    // wire.  The daemon must answer it and keep its only worker.
+    let (handle, addr) = start_daemon(ServerConfig {
+        workers: 1,
+        ..test_config()
+    });
+    let mut client = connect(&addr);
+    let s27 = writer::to_text(&halotis::netlist::iscas::s27());
+    let key = key_of(&client.call(&load_request(1, &s27)).unwrap());
+    let response = client
+        .call(&format!(
+            r#"{{"op":"simulate","id":2,"key":"{key}","model":"ddm","suite":{{"kind":"clocked","cycles":2000,"period_fs":9007199254740991,"high_fs":1000000,"skew_fs":1000000,"seed":1}}}}"#
+        ))
+        .unwrap();
+    assert_eq!(response.error_code(), Some("internal_error"));
+    let response = client
+        .call(&simulate_request(
+            3,
+            &key,
+            &StimulusSuite::Clocked {
+                cycles: 16,
+                period: TimeDelta::from_ns(4.0),
+                high: TimeDelta::from_ns(2.0),
+                skew: TimeDelta::from_ps(500.0),
+                seed: 0x27,
+            },
+            "ddm",
+        ))
+        .unwrap();
+    assert!(response.ok().is_some(), "the worker survived");
+    drop(client);
+    stop(handle);
+}
